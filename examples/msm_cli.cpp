@@ -17,7 +17,7 @@
  *            --pipeline-depth=<d> --partitions=<k>
  *            --window=<s> --functional=<log2 n>
  *            --faults=<spec> --max-retries=<n> --no-checksums
- *            --no-watchdog --watchdog-slack=<f> --health
+ *            --no-watchdog --health
  *            --fault-report --help
  *
  * Prints the plan, the simulated timeline breakdown at the requested
@@ -176,9 +176,6 @@ printHelp()
         "  --no-watchdog        disable straggler speculation; a "
         "degrade\n"
         "                       stalls the run, a hang fails it\n"
-        "  --watchdog-slack=<f> blow the per-window deadline at f x "
-        "the\n"
-        "                       calibrated estimate (default 2.0)\n"
         "  --health             attach a device-health tracker "
         "(probation /\n"
         "                       quarantine ladder) to the "
@@ -348,15 +345,6 @@ main(int argc, char **argv)
             options.verifyChecksums = false;
         } else if (arg == "--no-watchdog") {
             options.watchdog = false;
-        } else if (arg.rfind("--watchdog-slack=", 0) == 0) {
-            options.watchdogSlack = std::atof(arg.c_str() + 17);
-            if (options.watchdogSlack <= 1.0) {
-                std::fprintf(stderr,
-                             "bad --watchdog-slack '%s' (want a "
-                             "factor > 1)\n",
-                             arg.c_str() + 17);
-                return 2;
-            }
         } else if (arg == "--health") {
             track_health = true;
         } else if (arg == "--fault-report") {

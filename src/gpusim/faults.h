@@ -48,6 +48,7 @@
 #ifndef DISTMSM_GPUSIM_FAULTS_H
 #define DISTMSM_GPUSIM_FAULTS_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -151,6 +152,33 @@ struct FaultPlan
      *  default 0: the first). */
     double transferDelayNs(int device, int attempt) const;
 };
+
+/**
+ * Watchdog deadline: a window whose projected completion exceeds
+ * this multiple of the calibrated per-window estimate is
+ * speculatively re-dispatched (the engine and the planner's
+ * straggler pricing share it).
+ */
+constexpr double kWatchdogSlack = 2.0;
+/** Backoff ahead of the first transfer retry; doubles per attempt. */
+constexpr double kBackoffBaseNs = 2e5;
+/** Cap on one retry's backoff. */
+constexpr double kBackoffMaxNs = 5e6;
+
+/**
+ * Exponential backoff ahead of transfer attempt @p attempt (>= 1),
+ * before jitter: kBackoffBaseNs x 2^(attempt-1), capped at
+ * kBackoffMaxNs. The engine adds seeded jitter and prices the sum
+ * into FaultReport::backoffNs; the planner prices the expected wait
+ * into MsmTimeline::backoffNs.
+ */
+inline double
+retryBackoffNs(int attempt)
+{
+    return std::min(kBackoffMaxNs,
+                    kBackoffBaseNs *
+                        static_cast<double>(1ull << (attempt - 1)));
+}
 
 /**
  * Deterministically flip one byte of @p bytes in place: the byte

@@ -12,16 +12,26 @@
  * vector. computeDistMsm() in distmsm.h is the one-shot convenience
  * wrapper.
  *
- * Execution shapes
- * ----------------
- * Without precompute, each window scatters and sums its own bucket
- * set and the window points merge through the serial Horner
- * recurrence (s doublings per window). With precompute
+ * Execution shapes, one dispatch
+ * ------------------------------
+ * Without precompute, each window is one unit: it scatters and sums
+ * its own bucket set, and the window points merge through the serial
+ * Horner recurrence (s doublings per window). With precompute
  * (plan.precompute), the table rows 2^(js) P_i realign every
  * window's digit into ONE shared bucket set: a single combined
- * scatter over numWindows * n elements, a single bucket-sum pass
- * across all devices, and a single bucket-reduce — no per-window
- * passes and no final doubling chain.
+ * scatter over numWindows * n elements, then one unit per device
+ * summing its bucket slice, and a single bucket-reduce — no
+ * per-window passes and no final doubling chain.
+ *
+ * Both shapes share one fault-tolerant dispatch (tryCompute). A
+ * unit's output never depends on the device that runs it, so every
+ * unit runs exactly once in one parallel pass; the faults (kills,
+ * hangs, stragglers, quarantines) only decide which device ships
+ * which output and what gets counted. After a shape-specific fault
+ * classification, the reshard, execution, checksummed ship (gather
+ * or collective), clean-device health credit and trace are one code
+ * path; the shapes differ only in their unit function, their
+ * classifier and their final reduce.
  */
 
 #ifndef DISTMSM_MSM_ENGINE_H
@@ -145,60 +155,17 @@ class MsmEngine
         // read off the original options before the autoscheduler
         // swaps in the realized candidate: the search may force
         // TensorCore purely for pricing, and that must not engage
-        // the slow differential execution below.
-        const bool user_forced_tc =
-            options_.fieldBackend ==
-            gpusim::FieldBackend::TensorCore;
+        // the slow differential execution. The differential tcmul
+        // execution engages only on a *forced* TensorCore (the
+        // planner's Auto pick prices TC while the functional path
+        // stays on CIOS — bit-identical either way).
+        tc_exec_ =
+            options_.fieldBackend == gpusim::FieldBackend::TensorCore;
         // The autoscheduler's realized options carry
         // planner=Heuristic; remember the caller's mode so a health
         // re-plan can re-enter the search over the shrunken fleet.
         original_planner_ = options_.planner;
-        if (options_.planner != PlannerMode::Heuristic) {
-            // The autoscheduler returns the argmin plan *and* the
-            // winning candidate's realized options (signed digits,
-            // batch-affine, GLV, ... — the functional knobs the
-            // score priced). Adopt both so execution matches the
-            // plan; the realized options carry planner=Heuristic, so
-            // nothing below re-enters the search.
-            AutoPlanResult searched = autoplanMsm(
-                curve_profile_, points_.size(), cluster_, options_);
-            options_ = searched.options;
-            plan_ = searched.plan;
-        } else {
-            plan_ = planMsm(curve_profile_, points_.size(), cluster_,
-                            options_);
-        }
-        // Every cost-model price below uses the kernel variant as
-        // the plan's resolved field backend executes it; the
-        // differential tcmul execution engages only on a *forced*
-        // TensorCore (the planner's Auto pick prices TC while the
-        // functional path stays on CIOS — bit-identical either way).
-        eff_kernel_ =
-            gpusim::applyFieldBackend(options_.kernel,
-                                      plan_.fieldBackend);
-        tc_exec_ = user_forced_tc;
-        const int host_threads =
-            support::resolveHostThreads(options_.hostThreads);
-        if (plan_.glv) {
-            // The endomorphism images phi(P_i) = (beta * x_i, y_i)
-            // are scalar-independent: staged once, like the points.
-            phi_points_.resize(points_.size());
-            support::ThreadPool::global().parallelFor(
-                0, points_.size(),
-                [&](std::size_t i) {
-                    phi_points_[i] =
-                        glv::endomorphismIfSupported<Curve>(
-                            points_[i]);
-                },
-                host_threads);
-        }
-        // plan_.precompute, not options_.precompute: the planner may
-        // have declined (device memory budget) or grown the window.
-        if (plan_.precompute)
-            acquireTable(host_threads);
-        if (options_.health != nullptr)
-            planned_generation_ = options_.health->generation();
-        refreshWindowEstimate();
+        stagePlan();
     }
 
     const MsmPlan &plan() const { return plan_; }
@@ -257,7 +224,7 @@ class MsmEngine
         // tracking is a sequential-coordinator feature.
         if (options_.health != nullptr &&
             options_.health->generation() != planned_generation_)
-            replanForHealth();
+            stagePlan();
         using Xyzz = XYZZPoint<Curve>;
         MsmResult<Curve> result;
         result.plan = plan_;
@@ -347,86 +314,118 @@ class MsmEngine
             return fplan_or.status();
         const gpusim::FaultPlan &fplan = **fplan_or;
         support::TraceRecorder *const trace = options_.trace;
-        /** Injections/detections in their deterministic order, for
-         *  the fault trace track. */
-        std::vector<std::string> fault_log;
+        const int num_gpus = cluster_.numGpus();
+        gpusim::HealthTracker *const health = options_.health;
+        FaultState fs{fplan, result.fault,
+                      std::vector<std::uint8_t>(
+                          static_cast<std::size_t>(num_gpus), 0),
+                      {}};
 
-        if (plan_.precompute) {
-            const support::Status combined = computeCombined(
-                result, n_eff, n_buckets, digit_of, trace_prefix,
-                host_threads, fplan, fault_log);
-            if (!combined.isOk())
-                return combined;
-            if (trace != nullptr)
-                emitFaultTrace(*trace, result.fault, fault_log);
-            return result;
-        }
-
-        auto window_ids = [&](unsigned w,
-                              std::vector<std::uint32_t> &ids,
-                              std::vector<std::uint8_t> &negs) {
-            ids.resize(n_eff);
-            negs.assign(n_eff, 0);
-            for (std::size_t i = 0; i < n_eff; ++i)
-                digit_of(w, i, ids[i], negs[i]);
-        };
-
-        // Scatter + bucket sums of one window, fully independent of
-        // every other window. Bucket groups map to the simulated
-        // devices of the bucket-split distribution (Section 3.2.2)
-        // and run as one task per device.
-        struct WindowPartial
+        // --- Units ---
+        // Per-window plans run one unit per window: it scatters,
+        // sums and reduces window w into out[w]. With precompute
+        // (plan_.precompute) the table rows 2^(js) P_i realign every
+        // window's digit into ONE shared bucket set: one combined
+        // scatter over numWindows * n_eff table-indexed elements up
+        // front, then one unit per device summing its bucket slice
+        // into out[lo, hi) — no doubling chain. A unit's output never
+        // depends on the device that runs it, so the faults below
+        // only decide who ships which output and what gets counted.
+        struct Unit
         {
-            bool scatterOk = false;
-            support::Status status{support::StatusCode::KernelFault,
-                                   "window not executed"};
+            support::Status status;
             gpusim::KernelStats scatterStats;
             gpusim::KernelStats ecStats;
-            std::vector<Xyzz> bucketSums;
-            Xyzz windowPoint = Xyzz::identity();
             ReduceStats reduceStats;
         };
+        const bool combined = plan_.precompute;
+        const std::size_t n_units =
+            combined ? static_cast<std::size_t>(num_gpus)
+                     : plan_.numWindows;
+        std::vector<Unit> units(n_units);
+        std::vector<Xyzz> out(combined ? n_buckets : n_units,
+                              Xyzz::identity());
+        const auto unit_keys = [&](std::size_t u) {
+            return combined
+                       ? std::pair{sliceBound(n_buckets, u, n_units),
+                                   sliceBound(n_buckets, u + 1,
+                                              n_units)}
+                       : std::pair{u, u + 1};
+        };
 
-        auto run_window = [&](unsigned w, WindowPartial &wp) {
+        std::size_t total = 0;
+        std::vector<std::uint8_t> negs;
+        ScatterResult scattered;
+        if (combined) {
+            const std::uint64_t total64 =
+                static_cast<std::uint64_t>(plan_.numWindows) * n_eff;
+            DISTMSM_REQUIRE(
+                total64 <=
+                    std::numeric_limits<std::uint32_t>::max(),
+                "combined precompute pass exceeds 32-bit element ids");
+            total = static_cast<std::size_t>(total64);
+            // Element e = w * n_eff + i contributes table row w of
+            // base i to the bucket of digit (w, i). Each scalar
+            // writes only its own numWindows slots.
+            std::vector<std::uint32_t> ids(total);
+            negs.resize(total);
+            pool.parallelFor(
+                0, n_eff,
+                [&](std::size_t i) {
+                    for (unsigned w = 0; w < plan_.numWindows; ++w) {
+                        const std::size_t e =
+                            static_cast<std::size_t>(w) * n_eff + i;
+                        digit_of(w, i, ids[e], negs[e]);
+                    }
+                },
+                host_threads);
+            scattered =
+                scatterIds(ids, trace_prefix + "combined/scatter", 0);
+            if (!scattered.ok)
+                return scattered.status;
+            result.stats.merge(scattered.stats);
+        }
+
+        auto run_unit = [&](std::size_t u, Unit &unit,
+                            std::vector<Xyzz> &dst) {
+            if (combined) {
+                sumSlice(
+                    scattered.buckets, u, n_units,
+                    [&](std::uint32_t idx) {
+                        const auto &base =
+                            table_->rows[idx / n_eff][idx % n_eff];
+                        return negs[idx] ? base.negated() : base;
+                    },
+                    dst, unit.ecStats);
+                return;
+            }
             // Simulated-kernel field muls of this window (bucket
             // sums, window reduce) execute on the forced backend;
             // entered per worker thread, so the pool-distributed
-            // bucket groups below re-enter it themselves.
+            // bucket groups re-enter it themselves (sumSlice).
             const field::TcBackendScope tc_scope(tc_exec_);
-            std::vector<std::uint32_t> ids;
-            std::vector<std::uint8_t> negs;
-            window_ids(w, ids, negs);
-
-            ScatterConfig scatter_cfg = options_.scatter;
-            scatter_cfg.fieldBackend = plan_.fieldBackend;
-            if (options_.trace != nullptr) {
-                // One kernel-launch lane per window: the launch span
-                // (emitted by ~KernelLaunch) carries the measured
-                // contention of exactly this window's scatter.
-                scatter_cfg.trace = options_.trace;
-                scatter_cfg.traceLabel = trace_prefix + "w" +
-                                         std::to_string(w) +
-                                         "/scatter";
-                scatter_cfg.traceLane = static_cast<int>(w);
-            }
-            ScatterResult scattered =
-                options_.hierarchicalScatter
-                    ? hierarchicalScatter(ids, s, scatter_cfg)
-                    : naiveScatter(ids, s, scatter_cfg);
-            wp.scatterOk = scattered.ok;
-            wp.status = scattered.status;
-            if (!scattered.ok)
+            const unsigned w = static_cast<unsigned>(u);
+            std::vector<std::uint32_t> ids(n_eff);
+            std::vector<std::uint8_t> w_negs(n_eff, 0);
+            for (std::size_t i = 0; i < n_eff; ++i)
+                digit_of(w, i, ids[i], w_negs[i]);
+            // One kernel-launch lane per window: the launch span
+            // carries the measured contention of exactly this
+            // window's scatter.
+            const ScatterResult sc = scatterIds(
+                ids, trace_prefix + "w" + std::to_string(w) + "/scatter",
+                static_cast<int>(w));
+            unit.status = sc.status;
+            if (!sc.ok)
                 return;
-            wp.scatterStats = scattered.stats;
-
-            auto point_of = [&](std::uint32_t idx) {
-                const auto &base =
-                    idx < n_base ? points_[idx]
-                                 : phi_points_[idx - n_base];
-                return negs[idx] ? base.negated() : base;
-            };
-
-            wp.bucketSums.assign(n_buckets, Xyzz::identity());
+            unit.scatterStats = sc.stats;
+            // Bucket groups map to the simulated devices of the
+            // bucket-split distribution (Section 3.2.2), one task
+            // per device. They are one launch running on
+            // gpusPerWindow devices in lockstep: work counts sum,
+            // the shared phase structure does not (see
+            // KernelStats::mergeLockstep).
+            std::vector<Xyzz> sums(n_buckets, Xyzz::identity());
             const int groups = plan_.bucketsSplitAcrossGpus
                                    ? plan_.gpusPerWindow
                                    : 1;
@@ -434,335 +433,283 @@ class MsmEngine
             cluster_.forEachDevice(
                 groups,
                 [&](int g) {
-                    const field::TcBackendScope group_scope(
-                        tc_exec_);
-                    const std::size_t lo =
-                        1 + (n_buckets - 1) * g / groups;
-                    const std::size_t hi =
-                        1 + (n_buckets - 1) * (g + 1) / groups;
-                    if (options_.batchAffine) {
-                        BatchAffineScratch<Curve> scratch;
-                        batchAffineAccumulate<Curve>(
-                            scattered.buckets, lo, hi, point_of,
-                            wp.bucketSums, group_stats[g], scratch);
-                        return;
-                    }
-                    for (std::size_t b = lo;
-                         b < hi && b < scattered.buckets.size();
-                         ++b) {
-                        if (scattered.buckets[b].empty())
-                            continue;
-                        wp.bucketSums[b] = bucketSumTree<Curve>(
-                            scattered.buckets[b], point_of,
-                            plan_.threadsPerBucket, group_stats[g]);
-                    }
+                    sumSlice(
+                        sc.buckets, static_cast<std::size_t>(g),
+                        static_cast<std::size_t>(groups),
+                        [&](std::uint32_t idx) {
+                            const auto &base =
+                                idx < n_base
+                                    ? points_[idx]
+                                    : phi_points_[idx - n_base];
+                            return w_negs[idx] ? base.negated() : base;
+                        },
+                        sums, group_stats[g]);
                 },
                 options_.hostThreads);
-            // The bucket groups are one launch running on
-            // plan_.gpusPerWindow devices in lockstep: work counts
-            // sum, the shared phase structure does not (see
-            // KernelStats::mergeLockstep; pinned by the 1-vs-4
-            // device stats test).
             for (const auto &gs : group_stats)
-                wp.ecStats.mergeLockstep(gs);
-
-            wp.windowPoint = bucketReduceSerial<Curve>(
-                wp.bucketSums, &wp.reduceStats);
-            wp.bucketSums.clear();
-            wp.bucketSums.shrink_to_fit();
+                unit.ecStats.mergeLockstep(gs);
+            dst[w] = bucketReduceSerial<Curve>(sums, &unit.reduceStats);
         };
 
-        // Tracing: the serial merge loop below visits windows in a
-        // fixed order regardless of hostThreads, so the measured
-        // stats are mapped onto simulated time (via the cost model)
-        // and emitted from here — the spans are deterministic even
-        // though the windows executed concurrently. Each window
-        // lands on the device lane of the round-robin distribution.
-        std::vector<double> dev_cursor;
-        double host_cursor = 0.0;
-        const auto &cost_model = cluster_.model();
-        const int scatter_threads = scatterThreads();
-        if (trace != nullptr) {
-            namespace lane = support::tracelane;
-            dev_cursor.assign(
-                static_cast<std::size_t>(cluster_.numGpus()), 0.0);
-            labelEngineLanes(*trace);
-        }
-        auto emit_window = [&](unsigned w, const WindowPartial &wp,
-                               int d) {
-            namespace lane = support::tracelane;
-            const int pid = lane::engineDevicePid(d);
-            const double scatter_ns =
-                cost_model.scatterComputeNs(n_eff,
-                                            scatter_threads) +
-                cost_model.atomicNs(wp.scatterStats,
-                                    scatter_threads) +
-                cost_model.gmemNs(wp.scatterStats.gmemBytes);
-            const double sum_ns = bucketSumNs(wp.ecStats);
-            const std::string wl =
-                trace_prefix + "w" + std::to_string(w) + "/";
-            support::TraceArgs scatter_args;
-            scatter_args
-                .arg("global_atomics",
-                     static_cast<double>(
-                         wp.scatterStats.globalAtomics))
-                .arg("global_conflict_weight",
-                     static_cast<double>(
-                         wp.scatterStats.globalConflictWeight))
-                .arg("global_max_conflict",
-                     static_cast<double>(
-                         wp.scatterStats.globalMaxConflict));
-            trace->span(wl + "scatter", "phase", pid,
-                        lane::kComputeTid, dev_cursor[d],
-                        scatter_ns, std::move(scatter_args));
-            trace->span(wl + "bucket-sum", "phase", pid,
-                        lane::kComputeTid,
-                        dev_cursor[d] + scatter_ns, sum_ns);
-            dev_cursor[d] += scatter_ns + sum_ns;
-            const double reduce_ns = cost_model.hostEcNs(
-                curve_profile_,
-                wp.reduceStats.padds + wp.reduceStats.pdbls,
-                cluster_.host());
-            if (reduce_ns > 0.0) {
-                trace->span(wl + "bucket-reduce", "phase",
-                            lane::kEngineHostPid, lane::kComputeTid,
-                            host_cursor, reduce_ns);
-                host_cursor += reduce_ns;
-            }
-            auto &metrics = trace->metrics();
-            const std::string mp = "engine/" + trace_prefix + "dev" +
-                                   std::to_string(d) + "/w" +
-                                   std::to_string(w) + "/";
-            wp.scatterStats.recordMetrics(metrics, mp + "scatter/");
-            wp.ecStats.recordMetrics(metrics, mp + "ec/");
-            metrics.add(mp + "scatter_ns", scatter_ns);
-            metrics.add(mp + "bucket_sum_ns", sum_ns);
-            metrics.add(mp + "bucket_reduce_ns", reduce_ns);
-        };
-
-        // --- Device loss (fault plan) ---
-        // Window w runs on device w % numGpus — the round-robin
-        // distribution the trace lanes already use; the ordinal of w
-        // on its device is (w - d) / numGpus. A device killed at its
-        // j-th window loses every window of ordinal >= j (results of
-        // earlier ordinals were already streamed out). Lost windows
-        // reshard round-robin across the survivors after the healthy
-        // pass; a window recomputes from the same scattered input on
-        // any device, so recovery is bit-identical by construction.
-        //
-        // Collective merges (plan_.collective != Gather) tighten the
-        // kill: a dead device can neither source nor relay reduce
-        // steps, so *every* window it owned reshards — nothing was
-        // streamed out before the merge.
-        const bool collective_merge =
-            plan_.collective != gpusim::CollectiveAlgo::Gather;
-        const int num_gpus = cluster_.numGpus();
-        gpusim::HealthTracker *const health = options_.health;
-
-        // Windows round-robin over the *schedulable* devices:
-        // quarantined ones sit out entirely. Without a tracker that
-        // is every device, reproducing the legacy w % numGpus
-        // layout bit-for-bit.
-        std::vector<int> sched_devs;
-        for (int d = 0; d < num_gpus; ++d)
-            if (health == nullptr || d >= health->numDevices() ||
-                health->schedulable(d))
-                sched_devs.push_back(d);
-        if (sched_devs.empty())
-            return support::Status(
-                support::StatusCode::DeviceLost,
-                "all " + std::to_string(num_gpus) +
-                    " devices quarantined; nothing schedulable");
-        const int n_sched = static_cast<int>(sched_devs.size());
-        std::vector<std::uint8_t> dev_sched(
-            static_cast<std::size_t>(num_gpus), 0);
-        for (const int d : sched_devs)
-            dev_sched[static_cast<std::size_t>(d)] = 1;
-
-        std::vector<int> exec_dev(plan_.numWindows);
-        std::vector<std::uint8_t> lost_window(plan_.numWindows, 0);
-        /** Devices that showed any fault this run — the complement
-         *  earns clean windows on the health ladder. */
-        std::vector<std::uint8_t> dev_faulted(
-            static_cast<std::size_t>(num_gpus), 0);
+        // --- Fault classification ---
+        // Every unit starts on exec_dev; a lost unit moves to a
+        // survivor below; a dual unit runs a second, speculative copy
+        // that must agree bit for bit.
+        std::vector<int> exec_dev(n_units);
+        std::vector<std::uint8_t> lost(n_units, 0);
+        std::vector<std::size_t> dual;
         std::vector<int> survivors;
-        for (unsigned w = 0; w < plan_.numWindows; ++w)
-            exec_dev[w] =
-                sched_devs[static_cast<int>(w) % n_sched];
-        // Ordinal of window w on its device under the round-robin
-        // layout — the operand the fault grammar's win= names.
-        const auto window_ordinal = [n_sched](unsigned w) {
-            return static_cast<int>(w) / n_sched;
-        };
-        for (int d = 0; d < num_gpus; ++d) {
-            const int kw = fplan.killWindow(d);
-            if (kw < 0) {
-                // Hung devices cannot receive resharded windows
-                // either; with the watchdog off a hang is rejected
-                // below before any reshard happens.
-                if (dev_sched[d] && fplan.hangWindow(d) < 0)
-                    survivors.push_back(d);
-                continue;
-            }
-            ++result.fault.devicesLost;
-            ++result.fault.faultsInjected;
-            dev_faulted[d] = 1;
-            fault_log.push_back("kill/dev" + std::to_string(d) +
-                                "@win" + std::to_string(kw));
-        }
-        for (unsigned w = 0; w < plan_.numWindows; ++w) {
-            const int kw = fplan.killWindow(exec_dev[w]);
-            if (kw >= 0 &&
-                (collective_merge || window_ordinal(w) >= kw))
-                lost_window[w] = 1;
-        }
-
-        // --- Watchdog: stragglers and hangs (fault plan) ---
-        // Sequential pre-pass, windows ascending, so detection,
-        // health escalation and target choice are identical at every
-        // hostThreads setting. A window whose projected completion
-        // blows its deadline — watchdogSlack x the calibrated
-        // per-window estimate — is speculatively re-dispatched onto
-        // the fastest healthy candidate. The adopted copy is the one
-        // with the earlier *priced* completion, the original
-        // canonical on ties; both copies execute the same
-        // deterministic window function, so the adopted point is
-        // bit-identical either way (the dual-execution pass below
-        // asserts it).
-        std::vector<std::uint8_t> hang_window(plan_.numWindows, 0);
-        std::vector<std::uint8_t> spec_window(plan_.numWindows, 0);
-        if (fplan.hasStragglerFaults()) {
-            const double est = window_estimate_ns_;
-            const double slack =
-                std::max(1.0, options_.watchdogSlack);
-            for (int d = 0; d < num_gpus; ++d) {
-                if (fplan.degraded(d)) {
-                    ++result.fault.faultsInjected;
-                    dev_faulted[d] = 1;
-                    fault_log.push_back("degrade/dev" +
-                                        std::to_string(d));
-                }
-                const int hw = fplan.hangWindow(d);
-                if (hw >= 0) {
-                    ++result.fault.hangs;
-                    ++result.fault.faultsInjected;
-                    dev_faulted[d] = 1;
-                    if (health != nullptr)
-                        health->recordHang(d);
-                    fault_log.push_back("hang/dev" +
-                                        std::to_string(d) + "@win" +
-                                        std::to_string(hw));
-                }
-            }
-            for (unsigned w = 0; w < plan_.numWindows; ++w) {
-                if (lost_window[w])
-                    continue;
-                const int d = exec_dev[w];
-                const int ord = window_ordinal(w);
-                const double f = fplan.degradeFactor(d, ord);
-                const int hw = fplan.hangWindow(d);
-                // A collective merge loses every window of a hung
-                // device (nothing streams out before the merge),
-                // exactly like the kill path.
-                const bool hang =
-                    hw >= 0 && (collective_merge || ord >= hw);
-                if (!hang && f <= slack) {
-                    // Within the deadline: the window stretches but
-                    // no respawn fires.
-                    result.fault.stragglerWaitNs += (f - 1.0) * est;
-                    result.fault.stragglerStallNs += (f - 1.0) * est;
-                    continue;
-                }
-                if (hang && !options_.watchdog)
+        // The window shape labels its lanes up front, so a failed
+        // run's trace carries them too; the combined shape labels
+        // them with its spans.
+        if (trace != nullptr && !combined)
+            labelEngineLanes(*trace);
+        if (combined) {
+            // The combined pass has no window boundaries, so a kill
+            // clause (at any ordinal) takes the device's whole bucket
+            // slice with it — and so do a hang (with the watchdog on:
+            // the slice is speculatively respawned on a survivor, a
+            // guaranteed win because the original never finishes) and
+            // a quarantine (the tracker excluded the device up
+            // front). A degrade clause only slows its device; at
+            // slice granularity there is no per-window deadline to
+            // blow, so it is logged and priced (timeline stragglerNs)
+            // but never respawned.
+            for (int g = 0; g < num_gpus; ++g) {
+                exec_dev[g] = g;
+                const bool quarantined =
+                    health != nullptr && g < health->numDevices() &&
+                    !health->schedulable(g);
+                const bool hung = fplan.hangWindow(g) >= 0;
+                if (hung && !options_.watchdog)
                     return support::Status(
                         support::StatusCode::TransferTimeout,
-                        "device " + std::to_string(d) +
-                            " hung at window " + std::to_string(w) +
-                            " and the watchdog is off");
-                if (!options_.watchdog) {
-                    // Degrade past the slack, watchdog off: the
-                    // merge stalls the full factor behind the
-                    // straggler.
-                    result.fault.stragglerWaitNs += (f - 1.0) * est;
-                    result.fault.stragglerStallNs += (f - 1.0) * est;
+                        "device " + std::to_string(g) +
+                            " hung in the combined pass and the "
+                            "watchdog is off");
+                if (fplan.killWindow(g) >= 0) {
+                    result.fault.devicesLost += 1;
+                    result.fault.faultsInjected += 1;
+                    fs.log.push_back("kill/dev" + std::to_string(g));
+                } else if (hung) {
+                    result.fault.hangs += 1;
+                    result.fault.faultsInjected += 1;
+                    result.fault.stragglersDetected += 1;
+                    result.fault.stragglerRespawns += 1;
+                    result.fault.speculativeWins += 1;
+                    fs.log.push_back("hang/dev" + std::to_string(g));
+                    if (health != nullptr)
+                        health->recordHang(g);
+                } else if (!quarantined) {
+                    survivors.push_back(g);
+                    if (fplan.degradeFactor(g, 0) > 1.0) {
+                        result.fault.faultsInjected += 1;
+                        fs.faulted[g] = 1;
+                        fs.log.push_back("degrade/dev" +
+                                         std::to_string(g));
+                    }
                     continue;
                 }
-                ++result.fault.stragglersDetected;
-                if (health != nullptr && !hang)
-                    health->recordStraggler(d);
-                // Fastest healthy candidate: schedulable, alive, not
-                // hung, not the straggler itself; the lowest index
-                // breaks factor ties (deterministic).
-                int target = -1;
-                double target_f =
-                    std::numeric_limits<double>::infinity();
-                for (const int c : sched_devs) {
-                    if (c == d || fplan.killWindow(c) >= 0 ||
-                        fplan.hangWindow(c) >= 0)
-                        continue;
-                    const double cf = fplan.degradeFactor(c, 0);
-                    if (cf < target_f) {
-                        target_f = cf;
-                        target = c;
+                // Not a new fault when merely quarantined — the
+                // tracker already counted whatever quarantined it.
+                lost[g] = 1;
+                fs.faulted[g] = 1;
+            }
+        } else {
+            // Windows round-robin over the *schedulable* devices:
+            // quarantined ones sit out entirely. Without a tracker
+            // that is every device, reproducing the legacy
+            // w % numGpus layout bit-for-bit. The ordinal of w on its
+            // device is w / n_sched — the operand the fault grammar's
+            // win= names. A device killed at its j-th window loses
+            // every window of ordinal >= j (results of earlier
+            // ordinals were already streamed out). Collective merges
+            // (plan_.collective != Gather) tighten the kill: a dead
+            // device can neither source nor relay reduce steps, so
+            // *every* window it owned is lost.
+            const bool collective_merge =
+                plan_.collective != gpusim::CollectiveAlgo::Gather;
+            std::vector<int> sched_devs;
+            for (int d = 0; d < num_gpus; ++d)
+                if (health == nullptr || d >= health->numDevices() ||
+                    health->schedulable(d))
+                    sched_devs.push_back(d);
+            if (sched_devs.empty())
+                return support::Status(
+                    support::StatusCode::DeviceLost,
+                    "all " + std::to_string(num_gpus) +
+                        " devices quarantined; nothing schedulable");
+            const int n_sched = static_cast<int>(sched_devs.size());
+            std::vector<std::uint8_t> dev_sched(
+                static_cast<std::size_t>(num_gpus), 0);
+            for (const int d : sched_devs)
+                dev_sched[static_cast<std::size_t>(d)] = 1;
+            for (unsigned w = 0; w < plan_.numWindows; ++w)
+                exec_dev[w] =
+                    sched_devs[static_cast<int>(w) % n_sched];
+            const auto window_ordinal = [n_sched](unsigned w) {
+                return static_cast<int>(w) / n_sched;
+            };
+            for (int d = 0; d < num_gpus; ++d) {
+                const int kw = fplan.killWindow(d);
+                if (kw < 0) {
+                    // Hung devices cannot receive resharded windows
+                    // either; with the watchdog off a hang is
+                    // rejected below before any reshard happens.
+                    if (dev_sched[d] && fplan.hangWindow(d) < 0)
+                        survivors.push_back(d);
+                    continue;
+                }
+                ++result.fault.devicesLost;
+                ++result.fault.faultsInjected;
+                fs.faulted[d] = 1;
+                fs.log.push_back("kill/dev" + std::to_string(d) +
+                                 "@win" + std::to_string(kw));
+            }
+            for (unsigned w = 0; w < plan_.numWindows; ++w) {
+                const int kw = fplan.killWindow(exec_dev[w]);
+                if (kw >= 0 &&
+                    (collective_merge || window_ordinal(w) >= kw))
+                    lost[w] = 1;
+            }
+
+            // Watchdog: stragglers and hangs. Sequential, windows
+            // ascending, so detection, health escalation and target
+            // choice are identical at every hostThreads setting. A
+            // window whose projected completion blows its deadline —
+            // kWatchdogSlack x the calibrated per-window estimate —
+            // is speculatively re-dispatched onto the fastest healthy
+            // candidate. The adopted copy is the one with the earlier
+            // *priced* completion, the original canonical on ties. A
+            // hung original never completes, so only the respawned
+            // copy runs; a slow-but-alive original still finishes, so
+            // its respawn is a dual execution.
+            if (fplan.hasStragglerFaults()) {
+                const double est = window_estimate_ns_;
+                const double slack = gpusim::kWatchdogSlack;
+                for (int d = 0; d < num_gpus; ++d) {
+                    if (fplan.degraded(d)) {
+                        ++result.fault.faultsInjected;
+                        fs.faulted[d] = 1;
+                        fs.log.push_back("degrade/dev" +
+                                         std::to_string(d));
+                    }
+                    const int hw = fplan.hangWindow(d);
+                    if (hw >= 0) {
+                        ++result.fault.hangs;
+                        ++result.fault.faultsInjected;
+                        fs.faulted[d] = 1;
+                        if (health != nullptr)
+                            health->recordHang(d);
+                        fs.log.push_back("hang/dev" +
+                                         std::to_string(d) + "@win" +
+                                         std::to_string(hw));
                     }
                 }
-                if (target < 0) {
-                    if (hang)
+                for (unsigned w = 0; w < plan_.numWindows; ++w) {
+                    if (lost[w])
+                        continue;
+                    const int d = exec_dev[w];
+                    const int ord = window_ordinal(w);
+                    const double f = fplan.degradeFactor(d, ord);
+                    const int hw = fplan.hangWindow(d);
+                    // A collective merge loses every window of a hung
+                    // device (nothing streams out before the merge),
+                    // exactly like the kill path.
+                    const bool hang =
+                        hw >= 0 && (collective_merge || ord >= hw);
+                    if (!hang && f <= slack) {
+                        // Within the deadline: the window stretches
+                        // but no respawn fires.
+                        result.fault.stragglerWaitNs += (f - 1.0) * est;
+                        result.fault.stragglerStallNs +=
+                            (f - 1.0) * est;
+                        continue;
+                    }
+                    if (hang && !options_.watchdog)
                         return support::Status(
-                            support::StatusCode::DeviceLost,
+                            support::StatusCode::TransferTimeout,
                             "device " + std::to_string(d) +
-                                " hung and no healthy candidate "
-                                "remains to respawn onto");
-                    result.fault.stragglerWaitNs += (f - 1.0) * est;
-                    result.fault.stragglerStallNs += (f - 1.0) * est;
-                    continue;
+                                " hung at window " +
+                                std::to_string(w) +
+                                " and the watchdog is off");
+                    if (!options_.watchdog) {
+                        // Degrade past the slack, watchdog off: the
+                        // merge stalls the full factor behind the
+                        // straggler.
+                        result.fault.stragglerWaitNs += (f - 1.0) * est;
+                        result.fault.stragglerStallNs +=
+                            (f - 1.0) * est;
+                        continue;
+                    }
+                    ++result.fault.stragglersDetected;
+                    if (health != nullptr && !hang)
+                        health->recordStraggler(d);
+                    // Fastest healthy candidate: schedulable, alive,
+                    // not hung, not the straggler itself; the lowest
+                    // index breaks factor ties (deterministic).
+                    int target = -1;
+                    double target_f =
+                        std::numeric_limits<double>::infinity();
+                    for (const int c : sched_devs) {
+                        if (c == d || fplan.killWindow(c) >= 0 ||
+                            fplan.hangWindow(c) >= 0)
+                            continue;
+                        const double cf = fplan.degradeFactor(c, 0);
+                        if (cf < target_f) {
+                            target_f = cf;
+                            target = c;
+                        }
+                    }
+                    if (target < 0) {
+                        if (hang)
+                            return support::Status(
+                                support::StatusCode::DeviceLost,
+                                "device " + std::to_string(d) +
+                                    " hung and no healthy candidate "
+                                    "remains to respawn onto");
+                        result.fault.stragglerWaitNs += (f - 1.0) * est;
+                        result.fault.stragglerStallNs +=
+                            (f - 1.0) * est;
+                        continue;
+                    }
+                    ++result.fault.stragglerRespawns;
+                    if (!hang)
+                        dual.push_back(w);
+                    fs.log.push_back("respawn/w" + std::to_string(w) +
+                                     "/dev" + std::to_string(d) +
+                                     "->dev" + std::to_string(target));
+                    // Priced completions: the straggling original
+                    // runs f x the estimate (a hang never completes);
+                    // the speculative copy starts when the deadline
+                    // fires and runs at the target's speed.
+                    const double orig_ns =
+                        hang ? std::numeric_limits<double>::infinity()
+                             : f * est;
+                    const double spec_ns = slack * est + target_f * est;
+                    if (spec_ns < orig_ns) {
+                        ++result.fault.speculativeWins;
+                        exec_dev[w] = target;
+                    } else {
+                        ++result.fault.speculativeLosses;
+                    }
+                    result.fault.stragglerWaitNs +=
+                        std::min(orig_ns, spec_ns) - est;
+                    result.fault.stragglerStallNs +=
+                        hang ? options_.transferTimeoutNs
+                             : (f - 1.0) * est;
                 }
-                ++result.fault.stragglerRespawns;
-                spec_window[w] = 1;
-                fault_log.push_back(
-                    "respawn/w" + std::to_string(w) + "/dev" +
-                    std::to_string(d) + "->dev" +
-                    std::to_string(target));
-                // Priced completions: the straggling original runs
-                // f x the estimate (a hang never completes); the
-                // speculative copy starts when the deadline fires
-                // and runs at the target's speed.
-                const double orig_ns =
-                    hang ? std::numeric_limits<double>::infinity()
-                         : f * est;
-                const double spec_ns = slack * est + target_f * est;
-                const bool adopt = spec_ns < orig_ns;
-                if (hang)
-                    hang_window[w] = 1;
-                if (adopt) {
-                    ++result.fault.speculativeWins;
-                    exec_dev[w] = target;
-                } else {
-                    ++result.fault.speculativeLosses;
-                }
-                result.fault.stragglerWaitNs +=
-                    std::min(orig_ns, spec_ns) - est;
-                result.fault.stragglerStallNs +=
-                    hang ? options_.transferTimeoutNs
-                         : (f - 1.0) * est;
             }
         }
 
-        std::vector<WindowPartial> partials(plan_.numWindows);
-        pool.parallelFor(
-            0, plan_.numWindows,
-            [&](std::size_t w) {
-                if (!lost_window[w] && !hang_window[w])
-                    run_window(static_cast<unsigned>(w),
-                               partials[w]);
-            },
-            host_threads);
-
-        // --- Recovery: reshard lost windows onto the survivors ---
-        std::vector<unsigned> resharded;
-        for (unsigned w = 0; w < plan_.numWindows; ++w)
-            if (lost_window[w])
-                resharded.push_back(w);
+        // --- Reshard ---
+        // Lost units move round-robin onto the survivors, same-node
+        // first (pickSurvivor). A unit's output is the same on any
+        // device, so the survivor simply owns and ships it.
+        std::vector<std::size_t> resharded;
+        for (std::size_t u = 0; u < n_units; ++u)
+            if (lost[u])
+                resharded.push_back(u);
         if (!resharded.empty()) {
             if (survivors.empty())
                 return support::Status(
@@ -774,149 +721,211 @@ class MsmEngine
                 exec_dev[resharded[i]] = pickSurvivor(
                     survivors, exec_dev[resharded[i]], i,
                     result.fault);
-            pool.parallelFor(
-                0, resharded.size(),
-                [&](std::size_t i) {
-                    run_window(resharded[i],
-                               partials[resharded[i]]);
-                },
-                host_threads);
             result.fault.windowsResharded += resharded.size();
         }
 
-        // --- Speculative execution (watchdog respawns) ---
-        // A hung original never completes, so only the respawned
-        // copy runs. A slow-but-alive original still finishes, so
-        // its respawn is a genuine dual execution: the scratch copy
-        // must agree bit-for-bit with the original, and its stats
-        // are discarded so KernelStats stay identical to the
-        // fault-free run.
-        std::vector<unsigned> hung_windows, dual_windows;
-        for (unsigned w = 0; w < plan_.numWindows; ++w) {
-            if (hang_window[w])
-                hung_windows.push_back(w);
-            else if (spec_window[w])
-                dual_windows.push_back(w);
+        // --- Execute: every unit once, then the dual copies ---
+        // Every parallel unit writes only its own slots. A dual copy
+        // runs into scratch, must agree bit-for-bit with the
+        // original, and its stats are discarded so KernelStats stay
+        // identical to the fault-free run.
+        pool.parallelFor(
+            0, n_units,
+            [&](std::size_t u) { run_unit(u, units[u], out); },
+            host_threads);
+        pool.parallelFor(
+            0, dual.size(),
+            [&](std::size_t i) {
+                Unit scratch;
+                std::vector<Xyzz> copy(out.size(), Xyzz::identity());
+                run_unit(dual[i], scratch, copy);
+                DISTMSM_ASSERT(bitEqual(copy[dual[i]], out[dual[i]]));
+            },
+            host_threads);
+        for (const Unit &unit : units)
+            if (!unit.status.isOk())
+                return unit.status;
+
+        // --- Ship ---
+        // Canonical shipment order: a device ships all its windows at
+        // once, devices ascending; bucket slices ship one by one,
+        // slices ascending. Keys are global window / bucket indices.
+        std::vector<Shipment> ships(static_cast<std::size_t>(num_gpus));
+        for (std::size_t u = 0; u < n_units; ++u) {
+            Shipment &sh =
+                ships[combined ? u
+                               : static_cast<std::size_t>(exec_dev[u])];
+            sh.device = exec_dev[u];
+            const auto [lo, hi] = unit_keys(u);
+            for (std::size_t k = lo; k < hi; ++k) {
+                sh.points.push_back(out[k]);
+                sh.keys.push_back(k);
+            }
         }
-        if (!hung_windows.empty())
-            pool.parallelFor(
-                0, hung_windows.size(),
-                [&](std::size_t i) {
-                    run_window(hung_windows[i],
-                               partials[hung_windows[i]]);
-                },
-                host_threads);
-        if (!dual_windows.empty())
-            pool.parallelFor(
-                0, dual_windows.size(),
-                [&](std::size_t i) {
-                    WindowPartial scratch;
-                    run_window(dual_windows[i], scratch);
-                    DISTMSM_ASSERT(bitEqual(
-                        scratch.windowPoint,
-                        partials[dual_windows[i]].windowPoint));
-                },
-                host_threads);
+        std::erase_if(ships,
+                      [](const Shipment &sh) { return sh.keys.empty(); });
+        const support::Status shipped =
+            shipAll(std::move(ships), fs, trace_prefix, out);
+        if (!shipped.isOk())
+            return shipped;
 
-        for (unsigned w = 0; w < plan_.numWindows; ++w)
-            if (!partials[w].scatterOk)
-                return partials[w].status;
+        // Clean devices feed the health ladder (sequential, units
+        // ascending — deterministic streak growth): a window credits
+        // the device that ran it, a bucket slice its own device (a
+        // resharded slice's device is faulted).
+        if (health != nullptr)
+            for (std::size_t u = 0; u < n_units; ++u) {
+                const int d =
+                    combined ? static_cast<int>(u) : exec_dev[u];
+                if (!fs.faulted[static_cast<std::size_t>(d)] &&
+                    d < health->numDevices())
+                    health->recordCleanWindow(d);
+            }
 
-        // --- Transfer: ship each device's window results ---
-        // Sequential, devices ascending, one canonical index per
-        // attempt — exactly the counter the fault plan's
-        // corrupt:xfer clause names, so injection, detection and
-        // retry are identical at every hostThreads setting.
-        //
-        // Gather ships every device straight to the host (the legacy
-        // path, untouched). Ring/tree route the same disjoint
-        // payloads device-to-device along the collective schedule
-        // first — every key still has exactly one contributor, so
-        // the merged points reaching the host are bit-identical to
-        // the gather's.
-        std::uint64_t xfer_counter = 0;
-        if (!collective_merge) {
-            for (int d = 0; d < num_gpus; ++d) {
-                std::vector<unsigned> wins;
-                for (unsigned w = 0; w < plan_.numWindows; ++w)
-                    if (exec_dev[w] == d)
-                        wins.push_back(w);
-                if (wins.empty())
-                    continue;
-                std::vector<Xyzz> payload;
-                std::vector<std::uint64_t> keys;
-                payload.reserve(wins.size());
-                keys.reserve(wins.size());
-                for (const unsigned w : wins) {
-                    payload.push_back(partials[w].windowPoint);
-                    keys.push_back(w);
+        // --- Reduce ---
+        namespace lane = support::tracelane;
+        const auto &cost_model = cluster_.model();
+        const int scatter_threads = scatterThreads();
+        if (combined) {
+            gpusim::KernelStats ec_stats;
+            for (const Unit &unit : units)
+                ec_stats.mergeLockstep(unit.ecStats);
+            result.stats.merge(ec_stats);
+            ReduceStats reduce_stats;
+            result.value = bucketReduceSerial<Curve>(out, &reduce_stats);
+            result.hostOps += reduce_stats.padds + reduce_stats.pdbls;
+            if (trace != nullptr) {
+                labelEngineLanes(*trace);
+                const double scatter_ns =
+                    cost_model.scatterComputeNs(total,
+                                                scatter_threads) +
+                    cost_model.atomicNs(scattered.stats,
+                                        scatter_threads) +
+                    cost_model.gmemNs(scattered.stats.gmemBytes);
+                const std::string cl = trace_prefix + "combined/";
+                support::TraceArgs scatter_args;
+                scatter_args
+                    .arg("elements", static_cast<double>(total))
+                    .arg("global_atomics",
+                         static_cast<double>(
+                             scattered.stats.globalAtomics));
+                // The combined scatter is one bulk-synchronous kernel
+                // across the cluster; its span sits on device 0's
+                // lane, the bucket sums start after it on every
+                // device.
+                trace->span(cl + "scatter", "phase",
+                            lane::engineDevicePid(0), lane::kComputeTid,
+                            0.0, scatter_ns, std::move(scatter_args));
+                auto &metrics = trace->metrics();
+                for (int g = 0; g < num_gpus; ++g) {
+                    const double sum_ns = bucketSumNs(units[g].ecStats);
+                    trace->span(cl + "bucket-sum", "phase",
+                                lane::engineDevicePid(g),
+                                lane::kComputeTid, scatter_ns, sum_ns);
+                    const std::string mp = "engine/" + trace_prefix +
+                                           "dev" + std::to_string(g) +
+                                           "/combined/";
+                    units[g].ecStats.recordMetrics(metrics, mp + "ec/");
+                    metrics.add(mp + "bucket_sum_ns", sum_ns);
                 }
-                std::vector<Xyzz> received;
-                const support::Status shipped = shipPayloadResilient(
-                    d, payload, keys, fplan, xfer_counter,
-                    result.fault, fault_log, dev_faulted, received);
-                if (!shipped.isOk())
-                    return shipped;
-                for (std::size_t i = 0; i < wins.size(); ++i)
-                    partials[wins[i]].windowPoint = received[i];
+                const double reduce_ns = cost_model.hostEcNs(
+                    curve_profile_,
+                    reduce_stats.padds + reduce_stats.pdbls,
+                    cluster_.host());
+                trace->span(cl + "bucket-reduce", "phase",
+                            lane::kEngineHostPid, lane::kComputeTid, 0.0,
+                            reduce_ns);
+                const std::string mp0 =
+                    "engine/" + trace_prefix + "dev0/combined/";
+                scattered.stats.recordMetrics(metrics, mp0 + "scatter/");
+                metrics.add(mp0 + "scatter_ns", scatter_ns);
+                metrics.add("engine/" + trace_prefix +
+                                "combined/bucket_reduce_ns",
+                            reduce_ns);
             }
         } else {
-            std::vector<std::vector<Xyzz>> dev_payload(num_gpus);
-            std::vector<std::vector<std::uint64_t>> dev_keys(
-                num_gpus);
-            for (unsigned w = 0; w < plan_.numWindows; ++w) {
-                dev_payload[exec_dev[w]].push_back(
-                    partials[w].windowPoint);
-                dev_keys[exec_dev[w]].push_back(w);
-            }
-            std::vector<Xyzz> merged;
-            std::vector<std::uint64_t> merged_keys;
-            const support::Status shipped = mergeViaCollective(
-                dev_payload, dev_keys, fplan, xfer_counter,
-                result.fault, fault_log, dev_faulted, trace_prefix,
-                merged, merged_keys);
-            if (!shipped.isOk())
-                return shipped;
-            for (std::size_t i = 0; i < merged.size(); ++i)
-                partials[static_cast<std::size_t>(merged_keys[i])]
-                    .windowPoint = merged[i];
-        }
-
-        // Merge strictly high-to-low exactly like the serial Horner
-        // recurrence (same stats/trace order as before the fault
-        // layer: windows descending).
-        Xyzz total = Xyzz::identity();
-        for (unsigned w = plan_.numWindows; w-- > 0;) {
-            WindowPartial &wp = partials[w];
-            result.stats.merge(wp.scatterStats);
-            result.stats.merge(wp.ecStats);
-            if (trace != nullptr)
-                emit_window(w, wp, exec_dev[w]);
-
-            if (!total.isIdentity()) {
-                for (unsigned b = 0; b < s; ++b) {
-                    total = pdbl(total);
-                    ++result.hostOps;
+            // Merge strictly high-to-low exactly like the serial
+            // Horner recurrence. Tracing: this serial loop visits
+            // windows in a fixed order regardless of hostThreads, so
+            // the measured stats are mapped onto simulated time (via
+            // the cost model) and emitted from here — the spans are
+            // deterministic even though the windows executed
+            // concurrently. Each window lands on its device's lane.
+            std::vector<double> dev_cursor(
+                static_cast<std::size_t>(num_gpus), 0.0);
+            double host_cursor = 0.0;
+            Xyzz total_point = Xyzz::identity();
+            for (unsigned w = plan_.numWindows; w-- > 0;) {
+                const Unit &wu = units[w];
+                result.stats.merge(wu.scatterStats);
+                result.stats.merge(wu.ecStats);
+                if (trace != nullptr) {
+                    const int d = exec_dev[w];
+                    const int pid = lane::engineDevicePid(d);
+                    const double scatter_ns =
+                        cost_model.scatterComputeNs(n_eff,
+                                                    scatter_threads) +
+                        cost_model.atomicNs(wu.scatterStats,
+                                            scatter_threads) +
+                        cost_model.gmemNs(wu.scatterStats.gmemBytes);
+                    const double sum_ns = bucketSumNs(wu.ecStats);
+                    const std::string wl =
+                        trace_prefix + "w" + std::to_string(w) + "/";
+                    support::TraceArgs scatter_args;
+                    scatter_args
+                        .arg("global_atomics",
+                             static_cast<double>(
+                                 wu.scatterStats.globalAtomics))
+                        .arg("global_conflict_weight",
+                             static_cast<double>(
+                                 wu.scatterStats.globalConflictWeight))
+                        .arg("global_max_conflict",
+                             static_cast<double>(
+                                 wu.scatterStats.globalMaxConflict));
+                    trace->span(wl + "scatter", "phase", pid,
+                                lane::kComputeTid, dev_cursor[d],
+                                scatter_ns, std::move(scatter_args));
+                    trace->span(wl + "bucket-sum", "phase", pid,
+                                lane::kComputeTid,
+                                dev_cursor[d] + scatter_ns, sum_ns);
+                    dev_cursor[d] += scatter_ns + sum_ns;
+                    const double reduce_ns = cost_model.hostEcNs(
+                        curve_profile_,
+                        wu.reduceStats.padds + wu.reduceStats.pdbls,
+                        cluster_.host());
+                    if (reduce_ns > 0.0) {
+                        trace->span(wl + "bucket-reduce", "phase",
+                                    lane::kEngineHostPid,
+                                    lane::kComputeTid, host_cursor,
+                                    reduce_ns);
+                        host_cursor += reduce_ns;
+                    }
+                    auto &metrics = trace->metrics();
+                    const std::string mp =
+                        "engine/" + trace_prefix + "dev" +
+                        std::to_string(d) + "/w" + std::to_string(w) +
+                        "/";
+                    wu.scatterStats.recordMetrics(metrics,
+                                                  mp + "scatter/");
+                    wu.ecStats.recordMetrics(metrics, mp + "ec/");
+                    metrics.add(mp + "scatter_ns", scatter_ns);
+                    metrics.add(mp + "bucket_sum_ns", sum_ns);
+                    metrics.add(mp + "bucket_reduce_ns", reduce_ns);
                 }
+                if (!total_point.isIdentity()) {
+                    for (unsigned b = 0; b < s; ++b) {
+                        total_point = pdbl(total_point);
+                        ++result.hostOps;
+                    }
+                }
+                total_point = padd(total_point, out[w]);
+                result.hostOps += wu.reduceStats.padds + 1;
             }
-            total = padd(total, wp.windowPoint);
-            result.hostOps += wp.reduceStats.padds + 1;
+            result.value = total_point;
         }
-
-        // Clean windows feed the ladder: every window whose
-        // executing device showed no fault this run counts toward
-        // probation reintegration (sequential, windows ascending —
-        // deterministic streak growth).
-        if (health != nullptr)
-            for (unsigned w = 0; w < plan_.numWindows; ++w)
-                if (!dev_faulted[static_cast<std::size_t>(
-                        exec_dev[w])])
-                    health->recordCleanWindow(exec_dev[w]);
-
-        result.value = total;
         if (trace != nullptr) {
             emitFieldBackendMetrics(*trace, result.stats);
-            emitFaultTrace(*trace, result.fault, fault_log);
+            emitFaultTrace(*trace, result.fault, fs.log);
         }
         return result;
     }
@@ -988,334 +997,6 @@ class MsmEngine
                         build_ns, std::move(args));
         }
     }
-
-    /**
-     * The combined precompute execution (plan_.precompute): one
-     * scatter over numWindows * n_eff table-indexed elements, one
-     * bucket-sum pass with every device taking a bucket slice, one
-     * serial bucket-reduce. Digit (w, i) addresses table row w at
-     * index i, so all windows share the single bucket array and the
-     * inter-window doubling chain never happens.
-     */
-    template <typename DigitOf>
-    support::Status
-    computeCombined(MsmResult<Curve> &result, std::size_t n_eff,
-                    std::size_t n_buckets, DigitOf &&digit_of,
-                    const std::string &trace_prefix,
-                    int host_threads,
-                    const gpusim::FaultPlan &fplan,
-                    std::vector<std::string> &fault_log) const
-    {
-        using Xyzz = XYZZPoint<Curve>;
-        auto &pool = support::ThreadPool::global();
-        const unsigned s = plan_.windowBits;
-        const unsigned n_windows = plan_.numWindows;
-        const std::uint64_t total64 =
-            static_cast<std::uint64_t>(n_windows) * n_eff;
-        DISTMSM_REQUIRE(
-            total64 <=
-                std::numeric_limits<std::uint32_t>::max(),
-            "combined precompute pass exceeds 32-bit element ids");
-        const std::size_t total =
-            static_cast<std::size_t>(total64);
-
-        // Element e = w * n_eff + i contributes table row w of base
-        // i to the bucket of digit (w, i). Each scalar writes only
-        // its own numWindows slots.
-        std::vector<std::uint32_t> ids(total);
-        std::vector<std::uint8_t> negs(total);
-        pool.parallelFor(
-            0, n_eff,
-            [&](std::size_t i) {
-                for (unsigned w = 0; w < n_windows; ++w) {
-                    const std::size_t e =
-                        static_cast<std::size_t>(w) * n_eff + i;
-                    digit_of(w, i, ids[e], negs[e]);
-                }
-            },
-            host_threads);
-
-        ScatterConfig scatter_cfg = options_.scatter;
-        scatter_cfg.fieldBackend = plan_.fieldBackend;
-        if (options_.trace != nullptr) {
-            scatter_cfg.trace = options_.trace;
-            scatter_cfg.traceLabel =
-                trace_prefix + "combined/scatter";
-            scatter_cfg.traceLane = 0;
-        }
-        ScatterResult scattered =
-            options_.hierarchicalScatter
-                ? hierarchicalScatter(ids, s, scatter_cfg)
-                : naiveScatter(ids, s, scatter_cfg);
-        if (!scattered.ok)
-            return scattered.status;
-        result.stats.merge(scattered.stats);
-
-        auto point_of = [&](std::uint32_t idx) {
-            const std::size_t w = idx / n_eff;
-            const std::size_t i = idx % n_eff;
-            const auto &base = table_->rows[w][i];
-            return negs[idx] ? base.negated() : base;
-        };
-
-        // One bucket-sum launch over the whole cluster: every device
-        // owns a contiguous slice of the single bucket array.
-        std::vector<Xyzz> bucket_sums(n_buckets, Xyzz::identity());
-        const int groups = cluster_.numGpus();
-        std::vector<gpusim::KernelStats> group_stats(groups);
-        auto sum_slice = [&](int g) {
-            const field::TcBackendScope tc_scope(tc_exec_);
-            const std::size_t lo = 1 + (n_buckets - 1) * g / groups;
-            const std::size_t hi =
-                1 + (n_buckets - 1) * (g + 1) / groups;
-            if (options_.batchAffine) {
-                BatchAffineScratch<Curve> scratch;
-                batchAffineAccumulate<Curve>(
-                    scattered.buckets, lo, hi, point_of,
-                    bucket_sums, group_stats[g], scratch);
-                return;
-            }
-            for (std::size_t b = lo;
-                 b < hi && b < scattered.buckets.size(); ++b) {
-                if (scattered.buckets[b].empty())
-                    continue;
-                bucket_sums[b] = bucketSumTree<Curve>(
-                    scattered.buckets[b], point_of,
-                    plan_.threadsPerBucket, group_stats[g]);
-            }
-        };
-
-        // Device loss: the combined pass has no window boundaries,
-        // so a kill clause (at any ordinal) takes the device's whole
-        // bucket slice with it — and so do a hang (with the watchdog
-        // on: the slice is speculatively respawned on a survivor, a
-        // guaranteed win because the original never finishes) and a
-        // quarantine (the tracker excluded the device up front).
-        // Survivors recompute the dead slices afterwards — the
-        // slices are disjoint bucket ranges, so the recomputation is
-        // bit-identical — and the survivor that recomputed a slice
-        // also ships it. A degrade clause only slows its device; at
-        // slice granularity there is no per-window deadline to blow,
-        // so it is logged and priced (timeline stragglerNs) but
-        // never respawned here.
-        gpusim::HealthTracker *const health = options_.health;
-        std::vector<std::uint8_t> dev_faulted(
-            static_cast<std::size_t>(groups), 0);
-        std::vector<int> survivors, dead;
-        std::vector<int> ship_dev(groups);
-        for (int g = 0; g < groups; ++g) {
-            ship_dev[g] = g;
-            const bool quarantined =
-                health != nullptr && g < health->numDevices() &&
-                !health->schedulable(g);
-            const bool hung = fplan.hangWindow(g) >= 0;
-            if (hung && !options_.watchdog)
-                return support::Status(
-                    support::StatusCode::TransferTimeout,
-                    "device " + std::to_string(g) +
-                        " hung in the combined pass and the "
-                        "watchdog is off");
-            if (fplan.killWindow(g) >= 0) {
-                dead.push_back(g);
-                dev_faulted[static_cast<std::size_t>(g)] = 1;
-                result.fault.devicesLost += 1;
-                result.fault.faultsInjected += 1;
-                fault_log.push_back("kill/dev" + std::to_string(g));
-            } else if (hung) {
-                dead.push_back(g);
-                dev_faulted[static_cast<std::size_t>(g)] = 1;
-                result.fault.hangs += 1;
-                result.fault.faultsInjected += 1;
-                result.fault.stragglersDetected += 1;
-                result.fault.stragglerRespawns += 1;
-                result.fault.speculativeWins += 1;
-                fault_log.push_back("hang/dev" + std::to_string(g));
-                if (health != nullptr)
-                    health->recordHang(g);
-            } else if (quarantined) {
-                // Not a new fault — the tracker already counted
-                // whatever quarantined it; the slice just needs a
-                // healthy recompute-and-ship owner.
-                dead.push_back(g);
-                dev_faulted[static_cast<std::size_t>(g)] = 1;
-            } else {
-                survivors.push_back(g);
-                const double f = fplan.degradeFactor(g, 0);
-                if (f > 1.0) {
-                    result.fault.faultsInjected += 1;
-                    dev_faulted[static_cast<std::size_t>(g)] = 1;
-                    fault_log.push_back("degrade/dev" +
-                                        std::to_string(g));
-                }
-            }
-        }
-        if (!dead.empty()) {
-            if (survivors.empty())
-                return support::Status(
-                    support::StatusCode::DeviceLost,
-                    "all " + std::to_string(groups) +
-                        " devices lost; no survivor to reshard "
-                        "onto");
-            for (std::size_t i = 0; i < dead.size(); ++i)
-                ship_dev[dead[i]] = pickSurvivor(
-                    survivors, dead[i], i, result.fault);
-        }
-
-        std::vector<std::uint8_t> is_dead(
-            static_cast<std::size_t>(groups), 0);
-        for (const int g : dead)
-            is_dead[static_cast<std::size_t>(g)] = 1;
-        cluster_.forEachDevice(
-            groups,
-            [&](int g) {
-                if (!is_dead[static_cast<std::size_t>(g)])
-                    sum_slice(g);
-            },
-            options_.hostThreads);
-        if (!dead.empty()) {
-            pool.parallelFor(
-                0, dead.size(),
-                [&](std::size_t i) { sum_slice(dead[i]); },
-                host_threads);
-            result.fault.windowsResharded += dead.size();
-        }
-
-        gpusim::KernelStats ec_stats;
-        for (const auto &gs : group_stats)
-            ec_stats.mergeLockstep(gs);
-        result.stats.merge(ec_stats);
-
-        // Ship each slice through the checksummed transfer layer
-        // (sequential, slices ascending; see the window path for the
-        // canonical-attempt-index contract). The RLC coefficients
-        // are keyed by global bucket index, so resharding never
-        // changes the digest a slice must match. Under a collective
-        // merge the slices route device-to-device along the schedule
-        // before one root->host hop; the slices are disjoint bucket
-        // ranges, so the merged array is bit-identical either way.
-        std::uint64_t xfer_counter = 0;
-        if (plan_.collective == gpusim::CollectiveAlgo::Gather) {
-            for (int g = 0; g < groups; ++g) {
-                const std::size_t lo =
-                    1 + (n_buckets - 1) * g / groups;
-                const std::size_t hi =
-                    1 + (n_buckets - 1) * (g + 1) / groups;
-                if (lo >= hi)
-                    continue;
-                std::vector<Xyzz> payload(
-                    bucket_sums.begin() +
-                        static_cast<std::ptrdiff_t>(lo),
-                    bucket_sums.begin() +
-                        static_cast<std::ptrdiff_t>(hi));
-                std::vector<std::uint64_t> keys(hi - lo);
-                for (std::size_t b = lo; b < hi; ++b)
-                    keys[b - lo] = b;
-                std::vector<Xyzz> received;
-                const support::Status shipped = shipPayloadResilient(
-                    ship_dev[g], payload, keys, fplan, xfer_counter,
-                    result.fault, fault_log, dev_faulted, received);
-                if (!shipped.isOk())
-                    return shipped;
-                std::copy(received.begin(), received.end(),
-                          bucket_sums.begin() +
-                              static_cast<std::ptrdiff_t>(lo));
-            }
-        } else {
-            const int n_dev = cluster_.numGpus();
-            std::vector<std::vector<Xyzz>> dev_payload(n_dev);
-            std::vector<std::vector<std::uint64_t>> dev_keys(n_dev);
-            for (int g = 0; g < groups; ++g) {
-                const std::size_t lo =
-                    1 + (n_buckets - 1) * g / groups;
-                const std::size_t hi =
-                    1 + (n_buckets - 1) * (g + 1) / groups;
-                for (std::size_t b = lo; b < hi; ++b) {
-                    dev_payload[ship_dev[g]].push_back(
-                        bucket_sums[b]);
-                    dev_keys[ship_dev[g]].push_back(b);
-                }
-            }
-            std::vector<Xyzz> merged;
-            std::vector<std::uint64_t> merged_keys;
-            const support::Status shipped = mergeViaCollective(
-                dev_payload, dev_keys, fplan, xfer_counter,
-                result.fault, fault_log, dev_faulted, trace_prefix,
-                merged, merged_keys);
-            if (!shipped.isOk())
-                return shipped;
-            for (std::size_t i = 0; i < merged.size(); ++i)
-                bucket_sums[static_cast<std::size_t>(
-                    merged_keys[i])] = merged[i];
-        }
-
-        // Every slice owner that saw no fault end-to-end earns a
-        // clean window toward probation reintegration.
-        if (health != nullptr)
-            for (int g = 0;
-                 g < std::min(groups, health->numDevices()); ++g)
-                if (!dev_faulted[static_cast<std::size_t>(g)] &&
-                    health->schedulable(g))
-                    health->recordCleanWindow(g);
-
-        ReduceStats reduce_stats;
-        result.value =
-            bucketReduceSerial<Curve>(bucket_sums, &reduce_stats);
-        result.hostOps +=
-            reduce_stats.padds + reduce_stats.pdbls;
-
-        support::TraceRecorder *const trace = options_.trace;
-        if (trace == nullptr)
-            return support::Status::ok();
-        namespace lane = support::tracelane;
-        labelEngineLanes(*trace);
-        const auto &cost_model = cluster_.model();
-        const int scatter_threads = scatterThreads();
-        const double scatter_ns =
-            cost_model.scatterComputeNs(total, scatter_threads) +
-            cost_model.atomicNs(scattered.stats, scatter_threads) +
-            cost_model.gmemNs(scattered.stats.gmemBytes);
-        const std::string cl = trace_prefix + "combined/";
-        support::TraceArgs scatter_args;
-        scatter_args
-            .arg("elements", static_cast<double>(total))
-            .arg("global_atomics",
-                 static_cast<double>(
-                     scattered.stats.globalAtomics));
-        // The combined scatter is one bulk-synchronous kernel across
-        // the cluster; its span sits on device 0's lane, the bucket
-        // sums start after it on every device.
-        trace->span(cl + "scatter", "phase",
-                    lane::engineDevicePid(0), lane::kComputeTid, 0.0,
-                    scatter_ns, std::move(scatter_args));
-        auto &metrics = trace->metrics();
-        for (int g = 0; g < groups; ++g) {
-            const double sum_ns = bucketSumNs(group_stats[g]);
-            trace->span(cl + "bucket-sum", "phase",
-                        lane::engineDevicePid(g), lane::kComputeTid,
-                        scatter_ns, sum_ns);
-            const std::string mp = "engine/" + trace_prefix + "dev" +
-                                   std::to_string(g) + "/combined/";
-            group_stats[g].recordMetrics(metrics, mp + "ec/");
-            metrics.add(mp + "bucket_sum_ns", sum_ns);
-        }
-        const double reduce_ns = cost_model.hostEcNs(
-            curve_profile_,
-            reduce_stats.padds + reduce_stats.pdbls,
-            cluster_.host());
-        trace->span(cl + "bucket-reduce", "phase",
-                    lane::kEngineHostPid, lane::kComputeTid, 0.0,
-                    reduce_ns);
-        const std::string mp0 =
-            "engine/" + trace_prefix + "dev0/combined/";
-        scattered.stats.recordMetrics(metrics, mp0 + "scatter/");
-        metrics.add(mp0 + "scatter_ns", scatter_ns);
-        metrics.add("engine/" + trace_prefix +
-                        "combined/bucket_reduce_ns",
-                    reduce_ns);
-        emitFieldBackendMetrics(*trace, ec_stats);
-        return support::Status::ok();
-    }
-
     /**
      * Resolve the active fault plan: an explicit MsmOptions::faults
      * wins, then the DISTMSM_FAULT_SPEC environment variable, then
@@ -1338,34 +1019,44 @@ class MsmEngine
     }
 
     /**
-     * Re-plan after a health-generation change: route through the
-     * caller's original planner mode (Search/Cached re-search — over
-     * the quarantine-shrunken cluster via planningCluster) and
-     * re-stage whatever the new plan needs. Only called from
-     * tryCompute when MsmOptions::health is set; mutates the
-     * mutable planning state, so concurrent tryCompute calls on one
-     * engine are not supported with a tracker attached.
+     * Plan and stage everything the plan needs: the constructor and
+     * every health-generation change (tryCompute) run this. Planning
+     * routes through the caller's original planner mode — the
+     * autoscheduler returns the argmin plan *and* the winning
+     * candidate's realized options (signed digits, batch-affine,
+     * GLV, ... — the functional knobs the score priced), adopted so
+     * execution matches the plan; the realized options carry
+     * planner=Heuristic. A re-plan searches over the
+     * quarantine-shrunken cluster (planningCluster). Then: the
+     * effective kernel variant, the phi images, the precompute table,
+     * the planned health generation and the watchdog's window
+     * estimate. Mutates the mutable planning state, so concurrent
+     * tryCompute calls on one engine are not supported with a tracker
+     * attached.
      */
     void
-    replanForHealth() const
+    stagePlan() const
     {
-        MsmOptions replan_opts = options_;
-        replan_opts.planner = original_planner_;
+        MsmOptions plan_opts = options_;
+        plan_opts.planner = original_planner_;
         if (original_planner_ != PlannerMode::Heuristic) {
             AutoPlanResult searched = autoplanMsm(
-                curve_profile_, points_.size(), cluster_,
-                replan_opts);
+                curve_profile_, points_.size(), cluster_, plan_opts);
             options_ = searched.options;
             plan_ = searched.plan;
         } else {
             plan_ = planMsm(curve_profile_, points_.size(), cluster_,
-                            replan_opts);
+                            plan_opts);
         }
+        // Every cost-model price in the engine uses the kernel
+        // variant as the plan's resolved field backend executes it.
         eff_kernel_ = gpusim::applyFieldBackend(options_.kernel,
                                                 plan_.fieldBackend);
         const int host_threads =
             support::resolveHostThreads(options_.hostThreads);
         if (plan_.glv && phi_points_.empty()) {
+            // The endomorphism images phi(P_i) = (beta * x_i, y_i)
+            // are scalar-independent: staged once, like the points.
             phi_points_.resize(points_.size());
             support::ThreadPool::global().parallelFor(
                 0, points_.size(),
@@ -1376,15 +1067,19 @@ class MsmEngine
                 },
                 host_threads);
         }
+        // plan_.precompute, not options_.precompute: the planner may
+        // have declined (device memory budget, 32-bit element ids)
+        // or grown the window.
         if (plan_.precompute)
             acquireTable(host_threads);
-        planned_generation_ = options_.health->generation();
+        if (options_.health != nullptr)
+            planned_generation_ = options_.health->generation();
         refreshWindowEstimate();
     }
 
     /**
      * Calibrated fault-free per-window GPU time — the base of the
-     * watchdog deadline (slack x this) and of the straggler
+     * watchdog deadline (kWatchdogSlack x this) and of the straggler
      * pricing. Computed only when a tracker is attached or the
      * fault plan contains degrade/hang clauses, so fault-free
      * engines skip the cost-model call entirely (zero overhead).
@@ -1393,18 +1088,10 @@ class MsmEngine
     refreshWindowEstimate() const
     {
         window_estimate_ns_ = 0.0;
-        bool need = options_.health != nullptr;
-        if (!need) {
-            if (!options_.faults.empty()) {
-                need = options_.faults.hasStragglerFaults();
-            } else {
-                const support::StatusOr<const gpusim::FaultPlan *>
-                    env = gpusim::globalFaultPlanFromEnv();
-                need = env.isOk() && *env != nullptr &&
-                       (*env)->hasStragglerFaults();
-            }
-        }
-        if (!need)
+        const support::StatusOr<const gpusim::FaultPlan *> fplan =
+            activeFaultPlan();
+        if (options_.health == nullptr &&
+            !(fplan.isOk() && (*fplan)->hasStragglerFaults()))
             return;
         MsmOptions est_opts = options_;
         // The estimate prices the *healthy* window (the deadline
@@ -1454,7 +1141,8 @@ class MsmEngine
             const std::vector<Xyzz> pts(1, Xyzz::identity());
             const std::vector<std::uint64_t> keys(1, 0);
             std::vector<Xyzz> wire = pts;
-            wire.push_back(rlcKeyedDigest(pts, keys, nullptr));
+            wire.push_back(rlcKeyedDigest<Curve>(
+                pts, keys, options_.checksumSeed));
             std::vector<std::uint8_t> bytes =
                 serializePoints<Curve>(wire);
             if (fplan.transferFault(xfer, d) !=
@@ -1465,7 +1153,7 @@ class MsmEngine
             const Xyzz device_digest = got.back();
             got.pop_back();
             const Xyzz host_digest =
-                rlcKeyedDigest(got, keys, nullptr);
+                rlcKeyedDigest<Curve>(got, keys, options_.checksumSeed);
             if (bitEqual(host_digest, device_digest)) {
                 health->recordCleanProbe(d);
                 ++paroled;
@@ -1478,33 +1166,161 @@ class MsmEngine
 
   private:
 
-    /**
-     * RLC digest with explicit coefficient keys: transfer payloads
-     * are keyed by global window (or bucket) index rather than a
-     * contiguous range, so the host re-derives the same rho for each
-     * point no matter which device shipped it after a reshard. The
-     * digest's EC work is tallied only into @p report (verifyEcOps)
-     * — never KernelStats or hostOps — keeping zero-fault counters
-     * bit-identical to a build without the fault layer.
-     */
-    XYZZPoint<Curve>
-    rlcKeyedDigest(const std::vector<XYZZPoint<Curve>> &points,
-                   const std::vector<std::uint64_t> &keys,
-                   gpusim::FaultReport *report) const
+    /** Bucket slice bound: slice g of @p groups owns buckets
+     *  [sliceBound(g), sliceBound(g + 1)); bucket 0 is never
+     *  summed. */
+    static std::size_t
+    sliceBound(std::size_t n_buckets, std::size_t g, std::size_t groups)
     {
-        using Xyzz = XYZZPoint<Curve>;
-        Xyzz digest = Xyzz::identity();
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const Scalar rho = Scalar::fromU64(
-                rlcRho(options_.checksumSeed, keys[i]));
-            digest = padd(digest, pmul(points[i], rho));
+        return 1 + (n_buckets - 1) * g / groups;
+    }
+
+    /** One scatter launch of @p ids under the plan's configuration,
+     *  traced as @p label on kernel lane @p lane. */
+    ScatterResult
+    scatterIds(const std::vector<std::uint32_t> &ids, std::string label,
+               int lane) const
+    {
+        ScatterConfig cfg = options_.scatter;
+        cfg.fieldBackend = plan_.fieldBackend;
+        if (options_.trace != nullptr) {
+            cfg.trace = options_.trace;
+            cfg.traceLabel = std::move(label);
+            cfg.traceLane = lane;
         }
-        if (report != nullptr) {
-            report->verifyEcOps +=
-                points.size() * (kRhoEcOps + 1);
-            report->checksummed += points.size();
+        return options_.hierarchicalScatter
+                   ? hierarchicalScatter(ids, plan_.windowBits, cfg)
+                   : naiveScatter(ids, plan_.windowBits, cfg);
+    }
+
+    /**
+     * Sum bucket slice @p g of @p groups into @p sums (one entry per
+     * bucket; only the slice's entries are written), tallying the EC
+     * work into @p stats. Runs on the forced field backend — entered
+     * per call, because slices run as pool tasks.
+     */
+    template <typename PointOf>
+    void
+    sumSlice(const std::vector<std::vector<std::uint32_t>> &buckets,
+             std::size_t g, std::size_t groups, PointOf &&point_of,
+             std::vector<XYZZPoint<Curve>> &sums,
+             gpusim::KernelStats &stats) const
+    {
+        const field::TcBackendScope tc_scope(tc_exec_);
+        const std::size_t lo = sliceBound(sums.size(), g, groups);
+        const std::size_t hi = sliceBound(sums.size(), g + 1, groups);
+        if (options_.batchAffine) {
+            BatchAffineScratch<Curve> scratch;
+            batchAffineAccumulate<Curve>(buckets, lo, hi, point_of,
+                                         sums, stats, scratch);
+            return;
         }
-        return digest;
+        for (std::size_t b = lo; b < hi && b < buckets.size(); ++b)
+            if (!buckets[b].empty())
+                sums[b] = bucketSumTree<Curve>(
+                    buckets[b], point_of, plan_.threadsPerBucket, stats);
+    }
+
+    /** One device's share of a merge: points keyed by global window
+     *  or bucket index. */
+    struct Shipment
+    {
+        int device = 0;
+        std::vector<XYZZPoint<Curve>> points;
+        std::vector<std::uint64_t> keys;
+    };
+
+    /**
+     * Per-call fault bookkeeping the ship steps share: the active
+     * plan, the report, the per-device faulted flags (a faulted
+     * device forfeits its clean-window credit), the deterministic
+     * fault log for the trace track, and the canonical transfer
+     * counter — the ordinal a corrupt:xfer clause names.
+     */
+    struct FaultState
+    {
+        const gpusim::FaultPlan &plan;
+        gpusim::FaultReport &report;
+        std::vector<std::uint8_t> faulted;
+        std::vector<std::string> log;
+        std::uint64_t xfers = 0;
+    };
+
+    /**
+     * Ship every shipment to the host through the checksummed
+     * transfer layer and write the accepted points into @p out at
+     * their keys. Sequential, in the given canonical order, so
+     * injection, detection and retry are identical at every
+     * hostThreads setting; the RLC digests are keyed by global
+     * index, so resharding or re-routing never changes the digest a
+     * payload must match.
+     *
+     * Gather ships each shipment straight to the host. A collective
+     * merge folds the shipments per device and routes them along the
+     * schedule (mergeViaCollective); every key has exactly one
+     * contributor, so the points reaching the host are bit-identical
+     * to the gather's. Under CollectivePolicy::Auto the strategy is
+     * re-resolved here against the merge's *actual* payload size
+     * (the plan resolved it once, at the planning-time estimate);
+     * when that pick is Gather, each device's folded payload ships
+     * straight to the host, devices ascending.
+     */
+    support::Status
+    shipAll(std::vector<Shipment> ships, FaultState &fs,
+            const std::string &trace_prefix,
+            std::vector<XYZZPoint<Curve>> &out) const
+    {
+        gpusim::CollectiveAlgo algo = plan_.collective;
+        if (algo != gpusim::CollectiveAlgo::Gather && !ships.empty()) {
+            std::vector<Shipment> per_dev(
+                static_cast<std::size_t>(cluster_.numGpus()));
+            for (const Shipment &sh : ships) {
+                Shipment &dev = per_dev[static_cast<std::size_t>(
+                    sh.device)];
+                dev.device = sh.device;
+                dev.points.insert(dev.points.end(), sh.points.begin(),
+                                  sh.points.end());
+                dev.keys.insert(dev.keys.end(), sh.keys.begin(),
+                                sh.keys.end());
+            }
+            std::vector<int> members;
+            std::uint64_t max_bytes = 0;
+            for (const Shipment &dev : per_dev)
+                if (!dev.keys.empty()) {
+                    members.push_back(dev.device);
+                    max_bytes = std::max<std::uint64_t>(
+                        max_bytes,
+                        dev.points.size() * sizeof(XYZZPoint<Curve>));
+                }
+            // The busiest member's bytes: deterministic at every
+            // hostThreads (the payload partition is fixed).
+            if (options_.collective == gpusim::CollectivePolicy::Auto)
+                algo = gpusim::CollectiveTimeEstimator(
+                           cluster_.topology(), cluster_.device())
+                           .pick(gpusim::CollectivePolicy::Auto,
+                                 static_cast<int>(members.size()),
+                                 max_bytes);
+            const gpusim::CollectiveSchedule sched =
+                gpusim::buildCollectiveSchedule(
+                    algo, cluster_.topology(), members);
+            if (sched.root >= 0)
+                return mergeViaCollective(per_dev, sched, algo, fs,
+                                          trace_prefix, out);
+            ships.clear();
+            for (const int m : members)
+                ships.push_back(
+                    std::move(per_dev[static_cast<std::size_t>(m)]));
+        }
+        for (const Shipment &sh : ships) {
+            std::vector<XYZZPoint<Curve>> received;
+            const support::Status shipped = shipPayloadResilient(
+                sh.device, sh.points, sh.keys, fs, received);
+            if (!shipped.isOk())
+                return shipped;
+            for (std::size_t i = 0; i < received.size(); ++i)
+                out[static_cast<std::size_t>(sh.keys[i])] = received[i];
+        }
+        return support::Status::ok();
     }
 
     /**
@@ -1514,13 +1330,12 @@ class MsmEngine
      * digest host-side and compare limb-for-limb — retrying (with a
      * fresh canonical attempt index) up to MsmOptions::maxRetries
      * times. Every retry waits out an exponential backoff
-     * (backoffBaseNs doubling per attempt, capped at backoffMaxNs)
-     * plus a deterministic seeded jitter — simulated time, priced
+     * (gpusim::retryBackoffNs) plus a deterministic seeded jitter — simulated time, priced
      * into FaultReport::backoffNs, never wall clock. On success
      * @p received holds the accepted points, bit-identical to
      * @p points whenever nothing corrupted the wire. On exhaustion,
      * returns the typed Status of the final failed attempt. Each
-     * observed fault marks the device in @p dev_faulted (it forfeits
+     * observed fault marks the device faulted in @p fs (it forfeits
      * its clean window) and feeds the health tracker when one is
      * attached.
      */
@@ -1528,29 +1343,21 @@ class MsmEngine
     shipPayload(int device,
                 const std::vector<XYZZPoint<Curve>> &points,
                 const std::vector<std::uint64_t> &rho_keys,
-                const gpusim::FaultPlan &fplan,
-                std::uint64_t &xfer_counter,
-                gpusim::FaultReport &report,
-                std::vector<std::string> &fault_log,
-                std::vector<std::uint8_t> &dev_faulted,
+                FaultState &fs,
                 std::vector<XYZZPoint<Curve>> &received) const
     {
         using Xyzz = XYZZPoint<Curve>;
+        gpusim::FaultReport &report = fs.report;
         gpusim::HealthTracker *const health =
             (options_.health != nullptr &&
              device < options_.health->numDevices())
                 ? options_.health
                 : nullptr;
-        const auto mark_faulted = [&] {
-            if (static_cast<std::size_t>(device) <
-                dev_faulted.size())
-                dev_faulted[static_cast<std::size_t>(device)] = 1;
-        };
         support::Status last(support::StatusCode::TransferTimeout,
                              "transfer never attempted");
         for (int attempt = 0; attempt <= options_.maxRetries;
              ++attempt) {
-            const std::uint64_t xfer = xfer_counter++;
+            const std::uint64_t xfer = fs.xfers++;
             ++report.transfers;
             if (attempt > 0) {
                 ++report.retries;
@@ -1558,12 +1365,8 @@ class MsmEngine
                 // time in the simulated timeline. The jitter PRNG is
                 // keyed by (plan seed, attempt's transfer index), so
                 // the wait is bit-identical at every hostThreads.
-                const double backoff = std::min(
-                    options_.backoffMaxNs,
-                    options_.backoffBaseNs *
-                        static_cast<double>(
-                            1ull << (attempt - 1)));
-                Prng jitter_rng(fplan.seed ^
+                const double backoff = gpusim::retryBackoffNs(attempt);
+                Prng jitter_rng(fs.plan.seed ^
                                 (xfer * 0x9E3779B97F4A7C15ull) ^
                                 0xBACC0FFull);
                 const double jitter =
@@ -1573,16 +1376,16 @@ class MsmEngine
                 report.backoffNs += backoff + jitter;
             }
             const double delay =
-                fplan.transferDelayNs(device, attempt);
+                fs.plan.transferDelayNs(device, attempt);
             if (delay > 0.0) {
                 report.delayNs += delay;
                 ++report.faultsInjected;
-                fault_log.push_back("delay/dev" +
+                fs.log.push_back("delay/dev" +
                                     std::to_string(device) +
                                     "/xfer" + std::to_string(xfer));
                 if (delay > options_.transferTimeoutNs) {
                     ++report.timeouts;
-                    mark_faulted();
+                    fs.faulted[static_cast<std::size_t>(device)] = 1;
                     if (health != nullptr)
                         health->recordTimeout(device);
                     last = support::Status(
@@ -1597,17 +1400,19 @@ class MsmEngine
             std::vector<Xyzz> wire = points;
             if (options_.verifyChecksums)
                 wire.push_back(
-                    rlcKeyedDigest(points, rho_keys, &report));
+                    rlcKeyedDigest<Curve>(points, rho_keys,
+                                          options_.checksumSeed,
+                                          &report));
             std::vector<std::uint8_t> bytes =
                 serializePoints<Curve>(wire);
             const gpusim::TransferFault tf =
-                fplan.transferFault(xfer, device);
+                fs.plan.transferFault(xfer, device);
             if (tf != gpusim::TransferFault::None) {
-                gpusim::corruptBytes(bytes, fplan.seed, xfer);
+                gpusim::corruptBytes(bytes, fs.plan.seed, xfer);
                 ++report.corruptInjected;
                 ++report.faultsInjected;
-                mark_faulted();
-                fault_log.push_back(
+                fs.faulted[static_cast<std::size_t>(device)] = 1;
+                fs.log.push_back(
                     (tf == gpusim::TransferFault::Flaky
                          ? "flaky/dev"
                          : "corrupt/dev") +
@@ -1625,12 +1430,13 @@ class MsmEngine
                 const Xyzz device_digest = got.back();
                 got.pop_back();
                 const Xyzz host_digest =
-                    rlcKeyedDigest(got, rho_keys, &report);
+                    rlcKeyedDigest<Curve>(got, rho_keys,
+                                          options_.checksumSeed, &report);
                 if (!bitEqual(host_digest, device_digest)) {
                     ++report.corruptDetected;
                     if (health != nullptr)
                         health->recordChecksumFailure(device);
-                    fault_log.push_back(
+                    fs.log.push_back(
                         "detect/dev" + std::to_string(device) +
                         "/xfer" + std::to_string(xfer));
                     last = support::Status(
@@ -1662,17 +1468,11 @@ class MsmEngine
     support::Status
     shipPayloadResilient(
         int device, const std::vector<XYZZPoint<Curve>> &points,
-        const std::vector<std::uint64_t> &rho_keys,
-        const gpusim::FaultPlan &fplan,
-        std::uint64_t &xfer_counter, gpusim::FaultReport &report,
-        std::vector<std::string> &fault_log,
-        std::vector<std::uint8_t> &dev_faulted,
+        const std::vector<std::uint64_t> &rho_keys, FaultState &fs,
         std::vector<XYZZPoint<Curve>> &received) const
     {
         const support::Status first =
-            shipPayload(device, points, rho_keys, fplan,
-                        xfer_counter, report, fault_log, dev_faulted,
-                        received);
+            shipPayload(device, points, rho_keys, fs, received);
         gpusim::HealthTracker *const health = options_.health;
         if (first.isOk() || health == nullptr)
             return first;
@@ -1683,8 +1483,8 @@ class MsmEngine
         std::vector<int> pref;
         for (const int pass : {0, 1})
             for (int c = 0; c < cluster_.numGpus(); ++c) {
-                if (c == device || fplan.killWindow(c) >= 0 ||
-                    fplan.hangWindow(c) >= 0)
+                if (c == device || fs.plan.killWindow(c) >= 0 ||
+                    fs.plan.hangWindow(c) >= 0)
                     continue;
                 if (c < health->numDevices() &&
                     !health->schedulable(c))
@@ -1695,14 +1495,12 @@ class MsmEngine
         if (pref.empty())
             return first;
         const int target = pref[static_cast<std::size_t>(
-            report.transferFailovers % pref.size())];
-        ++report.transferFailovers;
-        fault_log.push_back("failover/dev" +
+            fs.report.transferFailovers % pref.size())];
+        ++fs.report.transferFailovers;
+        fs.log.push_back("failover/dev" +
                             std::to_string(device) + "->dev" +
                             std::to_string(target));
-        return shipPayload(target, points, rho_keys, fplan,
-                           xfer_counter, report, fault_log,
-                           dev_faulted, received);
+        return shipPayload(target, points, rho_keys, fs, received);
     }
 
     /**
@@ -1737,139 +1535,62 @@ class MsmEngine
     }
 
     /**
-     * Functional ring/tree/reduce-scatter merge: route the
-     * per-device (points, keys) payloads device-to-device along the
-     * collective schedule — each hop a checksummed shipPayload,
-     * receivers concatenating — then one root->host hop carrying the
-     * union. A sharded step (reduce-scatter rounds) moves only the
-     * keys k with k % shardCount == step.shard, leaving the rest on
-     * the sender. The keys are disjoint (each window/bucket has
-     * exactly one contributor), so no point is ever combined
-     * in-flight and the union reaching the host is bit-identical to
-     * the all-to-host gather; the RLC digests are keyed by global
-     * index, so re-routing never changes the digest a payload must
-     * match. Steps execute sequentially in schedule order — one
-     * deterministic transfer-counter stream, so injected faults hit
-     * the same hop at every hostThreads setting.
-     *
-     * Under CollectivePolicy::Auto the strategy is re-resolved here
-     * against the merge's *actual* payload size (the plan resolved
-     * it once, at the planning-time estimate): the congestion-priced
-     * winner executes at each merge point. When the per-payload pick
-     * is Gather, every member ships its payload straight to the host
-     * (the schedule has no steps and no root).
-     *
-     * On success @p out_points / @p out_keys hold the union;
-     * @p payloads / @p keys are consumed.
+     * Functional ring/tree/reduce-scatter merge: route the per-device
+     * payloads device-to-device along @p sched — each hop a
+     * checksummed shipPayloadResilient, receivers concatenating —
+     * then one root->host hop carrying the union, written into
+     * @p out at its keys. A sharded step (reduce-scatter rounds)
+     * moves only the keys k with k % shardCount == step.shard,
+     * leaving the rest on the sender. The keys are disjoint, so no
+     * point is ever combined in-flight. Steps execute sequentially
+     * in schedule order — one deterministic transfer-counter stream,
+     * so injected faults hit the same hop at every hostThreads
+     * setting. @p payloads (indexed by device) are consumed.
      */
     support::Status
-    mergeViaCollective(
-        std::vector<std::vector<XYZZPoint<Curve>>> &payloads,
-        std::vector<std::vector<std::uint64_t>> &keys,
-        const gpusim::FaultPlan &fplan,
-        std::uint64_t &xfer_counter, gpusim::FaultReport &report,
-        std::vector<std::string> &fault_log,
-        std::vector<std::uint8_t> &dev_faulted,
-        const std::string &trace_prefix,
-        std::vector<XYZZPoint<Curve>> &out_points,
-        std::vector<std::uint64_t> &out_keys) const
+    mergeViaCollective(std::vector<Shipment> &payloads,
+                       const gpusim::CollectiveSchedule &sched,
+                       gpusim::CollectiveAlgo algo, FaultState &fs,
+                       const std::string &trace_prefix,
+                       std::vector<XYZZPoint<Curve>> &out) const
     {
         using Xyzz = XYZZPoint<Curve>;
-        out_points.clear();
-        out_keys.clear();
-        std::vector<int> members;
-        for (int d = 0; d < cluster_.numGpus(); ++d)
-            if (!payloads[static_cast<std::size_t>(d)].empty())
-                members.push_back(d);
-        if (members.empty())
-            return support::Status::ok();
         const gpusim::Topology &topo = cluster_.topology();
-        gpusim::CollectiveAlgo algo = plan_.collective;
-        if (options_.collective ==
-            gpusim::CollectivePolicy::Auto) {
-            // Deterministic payload size for the re-resolution: the
-            // busiest member's bytes (identical at every hostThreads
-            // — the payload partition is fixed by the plan).
-            std::uint64_t max_bytes = 0;
-            for (const int m : members)
-                max_bytes = std::max<std::uint64_t>(
-                    max_bytes,
-                    payloads[static_cast<std::size_t>(m)].size() *
-                        sizeof(Xyzz));
-            algo = gpusim::CollectiveTimeEstimator(
-                       topo, cluster_.device())
-                       .pick(gpusim::CollectivePolicy::Auto,
-                             static_cast<int>(members.size()),
-                             max_bytes);
-        }
-        const gpusim::CollectiveSchedule sched =
-            gpusim::buildCollectiveSchedule(algo, topo, members);
         namespace lane = support::tracelane;
         support::TraceRecorder *trace = options_.trace;
         const std::uint64_t digest_pts =
             options_.verifyChecksums ? 1 : 0;
-        if (sched.root < 0) {
-            // The per-payload pick degenerated to Gather: each
-            // member ships straight to the host, ascending.
-            for (const int m : members) {
-                auto &m_pts =
-                    payloads[static_cast<std::size_t>(m)];
-                auto &m_keys = keys[static_cast<std::size_t>(m)];
-                std::vector<Xyzz> received;
-                const support::Status shipped = shipPayloadResilient(
-                    m, m_pts, m_keys, fplan, xfer_counter, report,
-                    fault_log, dev_faulted, received);
-                if (!shipped.isOk())
-                    return shipped;
-                out_points.insert(out_points.end(),
-                                  received.begin(), received.end());
-                out_keys.insert(out_keys.end(), m_keys.begin(),
-                                m_keys.end());
-                m_pts.clear();
-                m_keys.clear();
-            }
-            return support::Status::ok();
-        }
         double cursor = 0.0;
         std::uint64_t bytes_intra = 0;
         std::uint64_t bytes_inter = 0;
-        std::vector<Xyzz> ship_pts;
-        std::vector<std::uint64_t> ship_keys;
         for (const gpusim::CollectiveStep &step : sched.steps) {
-            auto &src_pts = payloads[
-                static_cast<std::size_t>(step.src)];
-            auto &src_keys = keys[
-                static_cast<std::size_t>(step.src)];
+            Shipment &src = payloads[static_cast<std::size_t>(step.src)];
+            Shipment ship;
             if (step.shard < 0) {
-                ship_pts = std::move(src_pts);
-                ship_keys = std::move(src_keys);
+                std::swap(ship.points, src.points);
+                std::swap(ship.keys, src.keys);
             } else {
                 // Sharded step: split the sender's payload into the
                 // forwarded shard and the rest, preserving order on
                 // both sides (deterministic at every hostThreads).
-                ship_pts.clear();
-                ship_keys.clear();
-                std::vector<Xyzz> stay_pts;
-                std::vector<std::uint64_t> stay_keys;
-                for (std::size_t i = 0; i < src_keys.size(); ++i) {
-                    if (static_cast<int>(
-                            src_keys[i] %
+                Shipment stay;
+                for (std::size_t i = 0; i < src.keys.size(); ++i) {
+                    Shipment &to =
+                        static_cast<int>(
+                            src.keys[i] %
                             static_cast<std::uint64_t>(
-                                sched.shardCount)) == step.shard) {
-                        ship_pts.push_back(src_pts[i]);
-                        ship_keys.push_back(src_keys[i]);
-                    } else {
-                        stay_pts.push_back(src_pts[i]);
-                        stay_keys.push_back(src_keys[i]);
-                    }
+                                sched.shardCount)) == step.shard
+                            ? ship
+                            : stay;
+                    to.points.push_back(src.points[i]);
+                    to.keys.push_back(src.keys[i]);
                 }
-                src_pts = std::move(stay_pts);
-                src_keys = std::move(stay_keys);
+                src.points = std::move(stay.points);
+                src.keys = std::move(stay.keys);
             }
             std::vector<Xyzz> received;
             const support::Status shipped = shipPayloadResilient(
-                step.src, ship_pts, ship_keys, fplan, xfer_counter,
-                report, fault_log, dev_faulted, received);
+                step.src, ship.points, ship.keys, fs, received);
             if (!shipped.isOk())
                 return shipped;
             const std::uint64_t wire_bytes =
@@ -1896,29 +1617,21 @@ class MsmEngine
                                            received.size())));
                 cursor += dur;
             }
-            auto &dst_pts = payloads[
-                static_cast<std::size_t>(step.dst)];
-            auto &dst_keys = keys[
-                static_cast<std::size_t>(step.dst)];
-            dst_pts.insert(dst_pts.end(), received.begin(),
-                           received.end());
-            dst_keys.insert(dst_keys.end(), ship_keys.begin(),
-                            ship_keys.end());
-            ship_pts.clear();
-            ship_keys.clear();
+            Shipment &dst = payloads[static_cast<std::size_t>(step.dst)];
+            dst.points.insert(dst.points.end(), received.begin(),
+                              received.end());
+            dst.keys.insert(dst.keys.end(), ship.keys.begin(),
+                            ship.keys.end());
         }
-        auto &root_pts = payloads[
-            static_cast<std::size_t>(sched.root)];
-        auto &root_keys = keys[
-            static_cast<std::size_t>(sched.root)];
+        const Shipment &root =
+            payloads[static_cast<std::size_t>(sched.root)];
         std::vector<Xyzz> received;
         const support::Status shipped = shipPayloadResilient(
-            sched.root, root_pts, root_keys, fplan, xfer_counter,
-            report, fault_log, dev_faulted, received);
+            sched.root, root.points, root.keys, fs, received);
         if (!shipped.isOk())
             return shipped;
-        out_points = std::move(received);
-        out_keys = root_keys;
+        for (std::size_t i = 0; i < received.size(); ++i)
+            out[static_cast<std::size_t>(root.keys[i])] = received[i];
         if (trace != nullptr) {
             auto &metrics = trace->metrics();
             const std::string cp = "collective/" + trace_prefix;
@@ -1928,11 +1641,10 @@ class MsmEngine
                         static_cast<double>(bytes_intra));
             metrics.add(cp + "bytes_inter",
                         static_cast<double>(bytes_inter));
-            metrics.add(
-                cp + "bytes_host",
-                static_cast<double>(
-                    (out_points.size() + digest_pts) *
-                    sizeof(Xyzz)));
+            metrics.add(cp + "bytes_host",
+                        static_cast<double>(
+                            (received.size() + digest_pts) *
+                            sizeof(Xyzz)));
         }
         return support::Status::ok();
     }

@@ -120,31 +120,36 @@ planMsmHeuristic(const CurveProfile &curve, std::uint64_t n,
     // n_eff affine points, so the footprint is n_eff * W * 2 *
     // fieldBytes. Hold that against half the device's global memory
     // (the other half stays for scalars, bucket ids and bucket
-    // state). A larger window shrinks W, so when the caller left the
-    // window size to the planner, grow it until the table fits;
-    // decline precompute when it cannot fit (pinned override, or no
-    // reasonable window fits) rather than plan an impossible layout.
+    // state). The combined pass also addresses its W * n_eff elements
+    // with 32-bit ids, which caps the layout even when memory is
+    // unmodeled. A larger window shrinks W, so when the caller left
+    // the window size to the planner, grow it until the table fits
+    // both limits; decline precompute when it cannot fit (pinned
+    // override, or no reasonable window fits) rather than plan an
+    // impossible layout.
     if (options.precompute) {
         const std::uint64_t affine_bytes = 2ull * curve.limbs64() * 8;
         const std::uint64_t mem = cluster.device().globalMemBytes;
         const std::uint64_t budget =
             mem == 0 ? std::numeric_limits<std::uint64_t>::max()
                      : mem / 2;
-        const auto table_bytes = [&](unsigned s) {
-            const unsigned w =
-                windowCount(plan.scalarBits, s) +
-                (options.signedDigits ? 1u : 0u);
-            return n_eff * w * affine_bytes;
+        const auto rows = [&](unsigned s) {
+            return n_eff * (windowCount(plan.scalarBits, s) +
+                            (options.signedDigits ? 1u : 0u));
+        };
+        const auto fits = [&](unsigned s) {
+            return rows(s) * affine_bytes <= budget &&
+                   rows(s) <= std::numeric_limits<std::uint32_t>::max();
         };
         unsigned s = plan.windowBits;
         if (options.windowBitsOverride == 0) {
-            while (table_bytes(s) > budget && s < kMaxPrecomputeWindowBits)
+            while (!fits(s) && s < kMaxPrecomputeWindowBits)
                 ++s;
         }
-        if (table_bytes(s) <= budget) {
+        if (fits(s)) {
             plan.precompute = true;
             plan.windowBits = s;
-            plan.tableBytes = table_bytes(s);
+            plan.tableBytes = rows(s) * affine_bytes;
         }
     }
 
@@ -593,8 +598,8 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
                            : (f - 1.0) * gpu_side_ns;
             } else {
                 const double eff =
-                    hang ? options.watchdogSlack + best
-                         : std::min(f, options.watchdogSlack + best);
+                    hang ? gpusim::kWatchdogSlack + best
+                         : std::min(f, gpusim::kWatchdogSlack + best);
                 pen = (eff - 1.0) * gpu_side_ns;
             }
             worst = std::max(worst, pen);
@@ -613,11 +618,7 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
             double odds = 1.0;
             for (int a = 1; a <= options.maxRetries; ++a) {
                 odds *= p;
-                t.backoffNs +=
-                    odds * std::min(options.backoffMaxNs,
-                                    options.backoffBaseNs *
-                                        static_cast<double>(1ull
-                                                            << (a - 1)));
+                t.backoffNs += odds * gpusim::retryBackoffNs(a);
             }
         }
     }

@@ -166,27 +166,19 @@ struct MsmOptions
     double transferTimeoutNs = 1e8;
     /**
      * Cost-model-derived straggler watchdog. Every window gets a
-     * deadline of watchdogSlack x the calibrated per-window
+     * deadline of gpusim::kWatchdogSlack x the calibrated per-window
      * estimate; a window that blows it (degrade beyond the slack, or
      * a hang) is speculatively re-dispatched onto the fastest
      * healthy survivor. The adopted copy is chosen by priced
      * completion with a fixed canonical tie-break (the original
      * wins ties), so results stay bit-identical at every
      * hostThreads setting. Off: a hang is a typed error and a
-     * degrade merely stalls the merge.
+     * degrade merely stalls the merge. Transfer retries back off
+     * exponentially either way (gpusim::retryBackoffNs plus seeded
+     * jitter), priced into FaultReport::backoffNs and
+     * MsmTimeline::backoffNs.
      */
     bool watchdog = true;
-    /** Deadline multiplier over the per-window estimate (>= 1). */
-    double watchdogSlack = 2.0;
-    /**
-     * Transfer retries back off exponentially instead of retrying
-     * immediately: attempt a waits backoffBaseNs x 2^(a-1) plus
-     * deterministic seeded jitter, capped at backoffMaxNs. Priced
-     * into FaultReport::backoffNs and MsmTimeline::backoffNs; the
-     * retry *count* and results are unchanged.
-     */
-    double backoffBaseNs = 2e5;
-    double backoffMaxNs = 5e6;
     /**
      * Optional per-device health ladder (gpusim/health.h). When set,
      * the engine records timeouts / checksum failures / stragglers /

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -166,6 +167,44 @@ TEST(Checksum, DigestDetectsEveryInjectedByteFlip)
     const auto clean = deserializePoints<Bn254>(
         serializePoints<Bn254>(points));
     EXPECT_TRUE(bitEqual(rlcDigest<Bn254>(clean, seed, 0), digest));
+}
+
+TEST(Checksum, ContiguousDigestIsTheKeyedDigest)
+{
+    // KAT: rlcDigest(points, seed, base) is rlcKeyedDigest over keys
+    // base..base+n-1 — the same limbs and the same verifyEcOps /
+    // checksummed tallies (n x (kRhoEcOps + 1) and n).
+    Prng prng(0xD16E);
+    const auto affine = generatePoints<Bn254>(9, prng);
+    std::vector<XYZZPoint<Bn254>> points;
+    for (const auto &p : affine)
+        points.push_back(XYZZPoint<Bn254>::fromAffine(p));
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 1000; k < 1009; ++k)
+        keys.push_back(k);
+
+    gpusim::FaultReport contiguous, keyed;
+    const auto a = rlcDigest<Bn254>(points, 0x5EED, 1000, &contiguous);
+    const auto b =
+        rlcKeyedDigest<Bn254>(points, keys, 0x5EED, &keyed);
+    EXPECT_TRUE(bitEqual(a, b));
+    EXPECT_EQ(0, std::memcmp(&contiguous, &keyed, sizeof keyed));
+    EXPECT_EQ(keyed.verifyEcOps, 234u);
+    EXPECT_EQ(keyed.checksummed, 9u);
+    // FNV-1a of the digest's limb bytes, recorded from the original
+    // contiguous-key loop.
+    const auto *bytes = reinterpret_cast<const unsigned char *>(&a);
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::size_t i = 0; i < sizeof a; ++i) {
+        h ^= bytes[i];
+        h *= 1099511628211ull;
+    }
+    EXPECT_EQ(h, 0xbfbd7026cea77c49ull);
+    // A key permutation changes the digest: keys, not positions,
+    // pick the coefficients.
+    std::swap(keys[0], keys[1]);
+    EXPECT_FALSE(bitEqual(
+        rlcKeyedDigest<Bn254>(points, keys, 0x5EED), a));
 }
 
 TEST(Checksum, CorruptBytesIsDeterministic)

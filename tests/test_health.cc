@@ -691,55 +691,258 @@ TEST(Quarantine, MetricsSurfaceHealthAndStragglerCounters)
 TEST(ChaosSoak, MixedFaultSweepStaysBitIdentical)
 {
     // Differential soak: degrade + hang + kill + one-shot corruption
-    // + a flaky link (failover via the tracker), across seeds and
-    // hostThreads — every run must match the fault-free value,
-    // stats and hostOps exactly, and the fault pipeline itself must
-    // not drift across thread counts.
+    // + a flaky link (failover via the tracker), across seeds,
+    // hostThreads and both execution shapes (per-window and the
+    // combined precompute pass) — every run must match the
+    // fault-free value, stats and hostOps exactly, and the fault
+    // pipeline itself must not drift across thread counts.
     const Cluster cluster(DeviceSpec::a100(), 8);
     const auto w = makeWorkload<Bn254>(1 << 11, 0xC4A0);
 
-    const auto clean_or = tryComputeDistMsm<Bn254>(
-        w.points, w.scalars, cluster, healthTestOptions());
-    ASSERT_TRUE(clean_or.isOk());
+    for (const bool precompute : {false, true}) {
+        auto clean_options = healthTestOptions();
+        clean_options.precompute = precompute;
+        const auto clean_or = tryComputeDistMsm<Bn254>(
+            w.points, w.scalars, cluster, clean_options);
+        ASSERT_TRUE(clean_or.isOk());
+        ASSERT_EQ(clean_or->plan.precompute, precompute);
 
-    for (const std::uint64_t seed : {11ull, 77ull, 3030ull}) {
-        gpusim::FaultReport reference;
-        bool have_reference = false;
-        for (const int threads : {1, 4}) {
-            HealthTracker tracker(8);
-            auto options = healthTestOptions();
-            options.hostThreads = threads;
-            options.health = &tracker;
-            const auto plan_or = FaultPlan::parse(
-                "degrade:dev=1,factor=3;hang:dev=2@win=1;"
-                "kill:dev=3;corrupt:xfer=5;flaky:dev=4,p=0.3;"
-                "seed:" + std::to_string(seed));
-            ASSERT_TRUE(plan_or.isOk());
-            options.faults = *plan_or;
-            const auto result_or = tryComputeDistMsm<Bn254>(
-                w.points, w.scalars, cluster, options);
-            ASSERT_TRUE(result_or.isOk())
-                << "seed=" << seed << " threads=" << threads
-                << ": " << result_or.status().toString();
-            const auto &r = *result_or;
-            EXPECT_TRUE(bitEqual(r.value, clean_or->value))
-                << "seed=" << seed << " threads=" << threads;
-            EXPECT_EQ(r.stats, clean_or->stats);
-            EXPECT_EQ(r.hostOps, clean_or->hostOps);
-            EXPECT_EQ(r.fault.devicesLost, 1u);
-            EXPECT_EQ(r.fault.hangs, 1u);
-            EXPECT_GE(r.fault.stragglerRespawns, 1u);
-            if (!have_reference) {
-                reference = r.fault;
-                have_reference = true;
-            } else {
-                // The whole report — injection, recovery, pricing —
-                // is deterministic across hostThreads.
-                EXPECT_EQ(0, std::memcmp(&r.fault, &reference,
-                                         sizeof reference))
-                    << "seed=" << seed;
+        for (const std::uint64_t seed : {11ull, 77ull, 3030ull}) {
+            gpusim::FaultReport reference;
+            bool have_reference = false;
+            for (const int threads : {1, 4}) {
+                HealthTracker tracker(8);
+                auto options = clean_options;
+                options.hostThreads = threads;
+                options.health = &tracker;
+                const auto plan_or = FaultPlan::parse(
+                    "degrade:dev=1,factor=3;hang:dev=2@win=1;"
+                    "kill:dev=3;corrupt:xfer=5;flaky:dev=4,p=0.3;"
+                    "seed:" + std::to_string(seed));
+                ASSERT_TRUE(plan_or.isOk());
+                options.faults = *plan_or;
+                const auto result_or = tryComputeDistMsm<Bn254>(
+                    w.points, w.scalars, cluster, options);
+                ASSERT_TRUE(result_or.isOk())
+                    << "precompute=" << precompute << " seed=" << seed
+                    << " threads=" << threads << ": "
+                    << result_or.status().toString();
+                const auto &r = *result_or;
+                EXPECT_TRUE(bitEqual(r.value, clean_or->value))
+                    << "precompute=" << precompute << " seed=" << seed
+                    << " threads=" << threads;
+                EXPECT_EQ(r.stats, clean_or->stats);
+                EXPECT_EQ(r.hostOps, clean_or->hostOps);
+                EXPECT_EQ(r.fault.devicesLost, 1u);
+                EXPECT_EQ(r.fault.hangs, 1u);
+                EXPECT_GE(r.fault.stragglerRespawns, 1u);
+                if (!have_reference) {
+                    reference = r.fault;
+                    have_reference = true;
+                } else {
+                    // The whole report — injection, recovery,
+                    // pricing — is deterministic across hostThreads.
+                    EXPECT_EQ(0, std::memcmp(&r.fault, &reference,
+                                             sizeof reference))
+                        << "precompute=" << precompute
+                        << " seed=" << seed;
+                }
             }
         }
+    }
+}
+
+// --- Characterization: both execution shapes, pinned -----------------
+//
+// Recorded numbers, not derived ones: each case pins the whole
+// FaultReport (memcmp), the value's limb bytes, the KernelStats and
+// hostOps of one mixed-fault run at hostThreads 1 and 4, so any change
+// in what the dispatch runs, reshards, ships, retries or credits shows
+// up here.
+
+/** FNV-1a over a point's raw limb bytes (Montgomery form). */
+std::uint64_t
+limbHash(const XYZZPoint<Bn254> &p)
+{
+    const auto *bytes = reinterpret_cast<const unsigned char *>(&p);
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::size_t i = 0; i < sizeof p; ++i) {
+        h ^= bytes[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct Pinned
+{
+    std::uint64_t valueHash;
+    gpusim::KernelStats stats;
+    std::uint64_t hostOps;
+    FaultReport fault;
+};
+
+void
+expectPinned(const MsmResult<Bn254> &r, const Pinned &want,
+             const std::string &label)
+{
+    EXPECT_EQ(limbHash(r.value), want.valueHash) << label;
+    EXPECT_EQ(r.stats, want.stats) << label;
+    EXPECT_EQ(r.hostOps, want.hostOps) << label;
+    EXPECT_EQ(0, std::memcmp(&r.fault, &want.fault, sizeof r.fault))
+        << label;
+}
+
+TEST(Characterization, CombinedPathGatherAndReduceScatter)
+{
+    // The combined precompute pass on a 2x4 DGX: device 1 killed,
+    // device 6 hung, transfer 2 corrupted once, and device 4 already
+    // quarantined by the tracker. Four of eight bucket slices
+    // reshard; the same-node preference picks their shippers.
+    const Cluster cluster(DeviceSpec::a100(),
+                          gpusim::Topology::dgx(2, 4));
+    const auto w = makeWorkload<Bn254>(1 << 9, 0xC0A1);
+    const auto plan_or =
+        FaultPlan::parse("kill:dev=1;hang:dev=6;corrupt:xfer=2;seed:5");
+    ASSERT_TRUE(plan_or.isOk());
+    const Pinned gather{
+        .valueHash = 0x09868adab4925e83ull,
+        .stats = {.phases = 131,
+                  .globalAtomics = 1020,
+                  .globalConflictWeight = 4080,
+                  .globalMaxConflict = 4,
+                  .sharedAtomics = 32620,
+                  .sharedConflictWeight = 41220,
+                  .sharedMaxConflict = 4,
+                  .sharedAccesses = 18358,
+                  .gmemBytes = 65240,
+                  .paddOps = 1785,
+                  .paccOps = 16310},
+        .hostOps = 510,
+        .fault = {.faultsInjected = 3,
+                  .corruptInjected = 1,
+                  .corruptDetected = 1,
+                  .retries = 1,
+                  .windowsResharded = 3,
+                  .reshardsIntraNode = 2,
+                  .reshardsCrossNode = 1,
+                  .devicesLost = 1,
+                  .transfers = 9,
+                  .checksummed = 574,
+                  .verifyEcOps = 14924,
+                  .stragglersDetected = 1,
+                  .stragglerRespawns = 1,
+                  .speculativeWins = 1,
+                  .hangs = 1,
+                  .backoffNs = 209020.33725149505}};
+    const Pinned reduce_scatter{
+        .valueHash = 0x09868adab4925e83ull,
+        .stats = {.phases = 131,
+                  .globalAtomics = 1020,
+                  .globalConflictWeight = 4080,
+                  .globalMaxConflict = 4,
+                  .sharedAtomics = 32620,
+                  .sharedConflictWeight = 41220,
+                  .sharedMaxConflict = 4,
+                  .sharedAccesses = 18358,
+                  .gmemBytes = 65240,
+                  .paddOps = 1785,
+                  .paccOps = 16310},
+        .hostOps = 510,
+        .fault = {.faultsInjected = 3,
+                  .corruptInjected = 1,
+                  .corruptDetected = 1,
+                  .retries = 1,
+                  .windowsResharded = 3,
+                  .reshardsIntraNode = 2,
+                  .reshardsCrossNode = 1,
+                  .devicesLost = 1,
+                  .transfers = 26,
+                  .checksummed = 1956,
+                  .verifyEcOps = 50856,
+                  .stragglersDetected = 1,
+                  .stragglerRespawns = 1,
+                  .speculativeWins = 1,
+                  .hangs = 1,
+                  .backoffNs = 209020.33725149505}};
+    for (const auto &[policy, want] :
+         {std::pair{gpusim::CollectivePolicy::Gather, gather},
+          std::pair{gpusim::CollectivePolicy::ReduceScatter,
+                    reduce_scatter}}) {
+        for (const int threads : {1, 4}) {
+            HealthTracker tracker(8);
+            tracker.recordHang(4);
+            auto options = healthTestOptions();
+            options.precompute = true;
+            options.collective = policy;
+            options.hostThreads = threads;
+            options.faults = *plan_or;
+            options.health = &tracker;
+            const auto result_or = tryComputeDistMsm<Bn254>(
+                w.points, w.scalars, cluster, options);
+            const std::string label =
+                std::string(gpusim::collectivePolicyName(policy)) +
+                " threads=" + std::to_string(threads);
+            ASSERT_TRUE(result_or.isOk())
+                << label << ": " << result_or.status().toString();
+            ASSERT_TRUE(result_or->plan.precompute) << label;
+            expectPinned(*result_or, want, label);
+        }
+    }
+}
+
+TEST(Characterization, WindowPathRingMerge)
+{
+    // The per-window path under a ring merge on a 2x4 DGX: device 1
+    // killed at its second window, device 3 degraded 4x (past the
+    // watchdog slack: speculative dual execution) and device 5 hung
+    // (its windows run only as respawned copies).
+    const Cluster cluster(DeviceSpec::a100(),
+                          gpusim::Topology::dgx(2, 4));
+    const auto w = makeWorkload<Bn254>(1 << 10, 0xC0A2);
+    const auto plan_or = FaultPlan::parse(
+        "kill:dev=1@win=1;degrade:dev=3,factor=4;hang:dev=5@win=1");
+    ASSERT_TRUE(plan_or.isOk());
+    const Pinned want{
+        .valueHash = 0xd3b9152b299f0ce6ull,
+        .stats = {.phases = 352,
+                  .globalAtomics = 20207,
+                  .globalConflictWeight = 58873,
+                  .globalMaxConflict = 4,
+                  .sharedAtomics = 65232,
+                  .sharedConflictWeight = 83032,
+                  .sharedMaxConflict = 5,
+                  .sharedAccesses = 98152,
+                  .gmemBytes = 130464,
+                  .paddOps = 117390,
+                  .paccOps = 32616},
+        .hostOps = 16600,
+        .fault = {.faultsInjected = 3,
+                  .windowsResharded = 4,
+                  .reshardsIntraNode = 3,
+                  .reshardsCrossNode = 1,
+                  .devicesLost = 1,
+                  .transfers = 6,
+                  .checksummed = 180,
+                  .verifyEcOps = 4680,
+                  .stragglersDetected = 8,
+                  .stragglerRespawns = 8,
+                  .speculativeWins = 8,
+                  .hangs = 1,
+                  .stragglerWaitNs = 19267.390487820827,
+                  .stragglerStallNs = 400014450.54286587}};
+    for (const int threads : {1, 4}) {
+        auto options = healthTestOptions();
+        options.collective = gpusim::CollectivePolicy::Ring;
+        options.hostThreads = threads;
+        options.faults = *plan_or;
+        const auto result_or = tryComputeDistMsm<Bn254>(
+            w.points, w.scalars, cluster, options);
+        const std::string label =
+            "ring threads=" + std::to_string(threads);
+        ASSERT_TRUE(result_or.isOk())
+            << label << ": " << result_or.status().toString();
+        ASSERT_FALSE(result_or->plan.precompute) << label;
+        expectPinned(*result_or, want, label);
     }
 }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/ec/curves.h"
 #include "src/msm/distmsm.h"
 #include "src/msm/precompute.h"
@@ -299,6 +301,34 @@ TEST(PrecomputePlanner, UnmodeledMemoryIsUnbounded)
     const auto plan =
         planMsm(profileOf<Bn254>(), 1 << 12, cluster, options);
     EXPECT_TRUE(plan.precompute);
+}
+
+TEST(PrecomputePlanner, DeclinesPastThirtyTwoBitElementIds)
+{
+    // The combined pass addresses numWindows * n_eff elements with
+    // 32-bit ids. Unmodeled device memory leaves the table unbounded,
+    // so the id range alone must grow the window (2^28 points: s=16
+    // would need exactly 2^32 ids) or decline precompute (2^30: no
+    // window up to the planner's cap fits). Planning only.
+    DeviceSpec nomem = DeviceSpec::a100();
+    nomem.globalMemBytes = 0;
+    const Cluster cluster(nomem, 8);
+    MsmOptions options;
+    options.precompute = true;
+    const std::uint64_t max_ids =
+        std::numeric_limits<std::uint32_t>::max();
+
+    const std::uint64_t n28 = std::uint64_t{1} << 28;
+    const auto grown = planMsm(profileOf<Bn254>(), n28, cluster, options);
+    ASSERT_TRUE(grown.precompute);
+    EXPECT_GT(grown.windowBits, 16u);
+    EXPECT_LE(grown.numWindows * n28, max_ids);
+
+    const auto declined = planMsm(profileOf<Bn254>(),
+                                  std::uint64_t{1} << 30, cluster,
+                                  options);
+    EXPECT_FALSE(declined.precompute);
+    EXPECT_EQ(declined.tableBytes, 0u);
 }
 
 TEST(PrecomputeTimeline, EstimateDropsDoublingChainAndPricesBuild)
