@@ -1,66 +1,166 @@
 #include "src/msm/autoplan.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/msm/pipeline.h"
 #include "src/sched/schedule_search.h"
+#include "src/support/fnv1a.h"
 #include "src/support/trace.h"
 
 namespace distmsm::msm {
 namespace {
 
-using gpusim::CollectiveAlgo;
 using gpusim::CollectivePolicy;
 using gpusim::CurveProfile;
 using gpusim::FieldBackend;
 
-/** One point of the search space: the searchable MsmOptions knobs.
- *  windowBits 0 defers to the workload model, exactly like
- *  MsmOptions::windowBitsOverride. */
-struct Candidate
+/** What a knob's value list may depend on. */
+struct SpaceInputs
 {
-    unsigned windowBits = 0;
-    bool signedDigits = false;
-    bool glv = false;
-    bool batchAffine = false;
-    bool precompute = false;
-    bool cpuBucketReduce = true;
-    FieldBackend fieldBackend = FieldBackend::Auto;
-    CollectivePolicy collective = CollectivePolicy::Gather;
-    int threadsPerBucket = 1;
-    /** Pricing knobs (MsmOptions::pipelineDepth/devicePartitions):
-     *  0 passes the search sentinel through, which planMsmHeuristic
-     *  resolves to 1 — identical to an explicit 1. */
-    int pipelineDepth = 1;
-    int devicePartitions = 1;
+    const CurveProfile &curve;
+    int numGpus;
+    const MsmOptions &base;
+    /** The heuristic plan of `base`: the search's seed. */
+    const MsmPlan &seed;
 };
 
-/** The caller's own knobs as a candidate — the search's seed. */
+using Values = std::vector<int>;
+
+/**
+ * One searchable MsmOptions field: the values the search enumerates
+ * for it, in order (a pinned option collapses to a single value),
+ * and the getter/setter that move the field through the int a
+ * candidate stores.
+ */
+struct Knob
+{
+    Values (*values)(const SpaceInputs &);
+    int (*get)(const MsmOptions &);
+    void (*set)(MsmOptions &, int);
+};
+
+template <auto Field>
+constexpr Knob
+knob(Values (*values)(const SpaceInputs &))
+{
+    using T = std::remove_cvref_t<
+        decltype(std::declval<MsmOptions &>().*Field)>;
+    return {values,
+            [](const MsmOptions &o) { return static_cast<int>(o.*Field); },
+            [](MsmOptions &o, int v) { o.*Field = static_cast<T>(v); }};
+}
+
+Values
+toggle(const SpaceInputs &)
+{
+    return {0, 1};
+}
+
+/**
+ * The knob table: the search space and its enumeration order. The
+ * exhaustive search walks it as an odometer, first knob outermost;
+ * the beam search fixes one knob per stage, in table order. Making
+ * an MsmOptions field searchable is one row here.
+ */
+constexpr Knob kKnobs[] = {
+    // Window bits: the caller's pin, or the model's pick (0)
+    // bracketed two bits each way within the planner's [4, 24] range.
+    knob<&MsmOptions::windowBitsOverride>([](const SpaceInputs &in) {
+        if (in.base.windowBitsOverride != 0)
+            return Values{static_cast<int>(in.base.windowBitsOverride)};
+        Values out{0};
+        for (int d = -2; d <= 2; ++d) {
+            const int s = static_cast<int>(in.seed.windowBits) + d;
+            if (s >= 4 && s <= 24)
+                out.push_back(s);
+        }
+        return out;
+    }),
+    knob<&MsmOptions::signedDigits>(toggle),
+    knob<&MsmOptions::glv>([](const SpaceInputs &in) {
+        return in.curve.glvScalarBits == 0 ? Values{0} : Values{0, 1};
+    }),
+    knob<&MsmOptions::batchAffine>(toggle),
+    knob<&MsmOptions::precompute>(toggle),
+    // The host reduce is a candidate only where the caller allows it.
+    knob<&MsmOptions::cpuBucketReduce>([](const SpaceInputs &in) {
+        return in.base.cpuBucketReduce ? Values{0, 1} : Values{0};
+    }),
+    // Auto must not resurrect an explicitly stripped tensor-core
+    // kernel variant.
+    knob<&MsmOptions::fieldBackend>([](const SpaceInputs &in) {
+        if (in.base.fieldBackend != FieldBackend::Auto)
+            return Values{static_cast<int>(in.base.fieldBackend)};
+        if (!in.base.kernel.tensorCoreMont)
+            return Values{static_cast<int>(FieldBackend::CudaCore)};
+        return Values{static_cast<int>(FieldBackend::CudaCore),
+                      static_cast<int>(FieldBackend::TensorCore)};
+    }),
+    // Gather (the legacy default) and Auto both mean "merge strategy
+    // not pinned": search the four concrete strategies against the
+    // full timeline, which sees overlap effects the link tuner's
+    // local argmin cannot.
+    knob<&MsmOptions::collective>([](const SpaceInputs &in) {
+        const CollectivePolicy p = in.base.collective;
+        if (p != CollectivePolicy::Gather && p != CollectivePolicy::Auto)
+            return Values{static_cast<int>(p)};
+        return Values{static_cast<int>(CollectivePolicy::Gather),
+                      static_cast<int>(CollectivePolicy::Ring),
+                      static_cast<int>(CollectivePolicy::Tree),
+                      static_cast<int>(CollectivePolicy::ReduceScatter)};
+    }),
+    knob<&MsmOptions::threadsPerBucket>([](const SpaceInputs &in) {
+        Values out{in.base.threadsPerBucket};
+        if (2 * in.seed.threadsPerBucket != in.base.threadsPerBucket)
+            out.push_back(2 * in.seed.threadsPerBucket);
+        return out;
+    }),
+    // Pipeline depth / device partitions: 0 opts the dimension into
+    // the search, any explicit value pins it; 0 in the seed passes
+    // through to planMsmHeuristic, which resolves it to 1. Partitions
+    // must divide the cluster evenly.
+    knob<&MsmOptions::pipelineDepth>([](const SpaceInputs &in) {
+        return in.base.pipelineDepth == 0
+                   ? Values{1, 2, 4}
+                   : Values{std::max(1, in.base.pipelineDepth)};
+    }),
+    knob<&MsmOptions::devicePartitions>([](const SpaceInputs &in) {
+        if (in.base.devicePartitions != 0)
+            return Values{std::max(1, in.base.devicePartitions)};
+        Values out;
+        for (const int k : {1, 2, 4})
+            if (k <= in.numGpus && in.numGpus % k == 0)
+                out.push_back(k);
+        return out;
+    }),
+};
+
+constexpr std::size_t kNumKnobs = std::size(kKnobs);
+
+/** One point of the search space: a value per knob-table row. */
+using Candidate = std::array<int, kNumKnobs>;
+
+/** The caller's own knob values: the search's seed. */
 Candidate
 seedCandidate(const MsmOptions &base)
 {
-    Candidate c;
-    c.windowBits = base.windowBitsOverride;
-    c.signedDigits = base.signedDigits;
-    c.glv = base.glv;
-    c.batchAffine = base.batchAffine;
-    c.precompute = base.precompute;
-    c.cpuBucketReduce = base.cpuBucketReduce;
-    c.fieldBackend = base.fieldBackend;
-    c.collective = base.collective;
-    c.threadsPerBucket = base.threadsPerBucket;
-    c.pipelineDepth = base.pipelineDepth;
-    c.devicePartitions = base.devicePartitions;
+    Candidate c{};
+    for (std::size_t k = 0; k < kNumKnobs; ++k)
+        c[k] = kKnobs[k].get(base);
     return c;
 }
 
@@ -77,17 +177,8 @@ realize(const MsmOptions &base, const Candidate &c)
     MsmOptions o = base;
     o.planner = PlannerMode::Heuristic;
     o.trace = nullptr;
-    o.windowBitsOverride = c.windowBits;
-    o.signedDigits = c.signedDigits;
-    o.glv = c.glv;
-    o.batchAffine = c.batchAffine;
-    o.precompute = c.precompute;
-    o.cpuBucketReduce = c.cpuBucketReduce;
-    o.fieldBackend = c.fieldBackend;
-    o.collective = c.collective;
-    o.threadsPerBucket = c.threadsPerBucket;
-    o.pipelineDepth = c.pipelineDepth;
-    o.devicePartitions = c.devicePartitions;
+    for (std::size_t k = 0; k < kNumKnobs; ++k)
+        kKnobs[k].set(o, c[k]);
     return o;
 }
 
@@ -105,18 +196,6 @@ beamWidthFromEnv()
     return std::atoi(v);
 }
 
-/** Deterministic 64-bit FNV-1a over the fingerprint string. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 /**
  * Cache key: everything the search's answer depends on — curve, N,
  * topology fingerprint, device spec, host spec, cost params, and the
@@ -129,7 +208,7 @@ cacheKey(const CurveProfile &curve, std::uint64_t n,
 {
     std::ostringstream s;
     s.precision(17);
-    s << "v2|" << curve.name << '|' << curve.fieldBits << '|'
+    s << "v3|" << curve.name << '|' << curve.fieldBits << '|'
       << curve.scalarBits << '|' << curve.aIsZero << '|'
       << curve.glvScalarBits << '|' << n << '|'
       << cluster.topology().describe() << '|';
@@ -167,100 +246,68 @@ cacheKey(const CurveProfile &curve, std::uint64_t n,
       << '|' << o.scatter.uncoalescedWriteFactor << '|'
       << o.verifyChecksums << '|' << o.pipelineDepth << '|'
       << o.devicePartitions << '|' << beamWidthFromEnv();
-    return fnv1a(s.str());
+    return support::fnv1a(s.str());
 }
 
 /** Everything a cache hit must reproduce without re-searching. */
 struct CacheEntry
 {
     MsmPlan plan;
-    Candidate winner;
     double searchedNs = 0.0;
     double heuristicNs = 0.0;
 };
 
-/** One TSV record, every field an exact integer except the two
- *  timings (%.17g round-trips doubles). */
+/** Applies @p f to every MsmPlan field, in record-column order. */
+template <typename Plan, typename F>
+void
+forEachPlanField(Plan &p, F &&f)
+{
+    std::apply([&f](auto &...field) { (f(field), ...); },
+               std::tie(p.windowBits, p.numWindows, p.scalarBits, p.glv,
+                        p.numBuckets, p.signedDigits, p.gpusPerWindow,
+                        p.windowsPerGpu, p.threadsPerBucket,
+                        p.bucketsSplitAcrossGpus, p.precompute,
+                        p.tableBytes, p.collective, p.mergeBytesPerGpu,
+                        p.fieldBackend, p.fieldBackendAuto,
+                        p.pipelineDepth, p.devicePartitions,
+                        p.hierarchicalScatter, p.batchAffine,
+                        p.cpuBucketReduce, p.collectiveAuto));
+}
+
+/** One v3 TSV record: the key, every plan field as an exact
+ *  integer, then the two timings (%.17g round-trips doubles). */
 std::string
 formatEntry(std::uint64_t key, const CacheEntry &e)
 {
-    char ns[64];
-    std::snprintf(ns, sizeof ns, "%.17g\t%.17g", e.searchedNs,
-                  e.heuristicNs);
     std::ostringstream s;
-    const MsmPlan &p = e.plan;
-    const Candidate &c = e.winner;
-    s << key << '\t' << p.windowBits << '\t' << p.numWindows << '\t'
-      << p.scalarBits << '\t' << p.glv << '\t' << p.numBuckets << '\t'
-      << p.signedDigits << '\t' << p.gpusPerWindow << '\t'
-      << p.windowsPerGpu << '\t' << p.threadsPerBucket << '\t'
-      << p.bucketsSplitAcrossGpus << '\t' << p.precompute << '\t'
-      << p.tableBytes << '\t' << static_cast<int>(p.collective)
-      << '\t' << p.mergeBytesPerGpu << '\t'
-      << static_cast<int>(p.fieldBackend) << '\t'
-      << p.fieldBackendAuto << '\t' << p.pipelineDepth << '\t'
-      << p.devicePartitions << '\t' << c.windowBits << '\t'
-      << c.signedDigits << '\t' << c.glv << '\t' << c.batchAffine
-      << '\t' << c.precompute << '\t' << c.cpuBucketReduce << '\t'
-      << static_cast<int>(c.fieldBackend) << '\t'
-      << static_cast<int>(c.collective) << '\t'
-      << c.threadsPerBucket << '\t' << c.pipelineDepth << '\t'
-      << c.devicePartitions << '\t' << ns;
-    return s.str();
+    s << key;
+    forEachPlanField(e.plan, [&s](const auto &v) {
+        if constexpr (std::is_enum_v<std::remove_cvref_t<decltype(v)>>)
+            s << '\t' << static_cast<int>(v);
+        else
+            s << '\t' << v;
+    });
+    char ns[64];
+    std::snprintf(ns, sizeof ns, "\t%.17g\t%.17g", e.searchedNs,
+                  e.heuristicNs);
+    return s.str() + ns;
 }
 
+/** Parses exactly one v3 record: a truncated line, a stale v2 record
+ *  or trailing columns are rejected (a cache miss). */
 bool
 parseEntry(const std::string &line, std::uint64_t &key, CacheEntry &e)
 {
     std::istringstream s(line);
-    long long pi[18];
-    long long ci[11];
-    double ns[2];
-    if (!(s >> key))
-        return false;
-    for (long long &v : pi)
-        if (!(s >> v))
-            return false;
-    for (long long &v : ci)
-        if (!(s >> v))
-            return false;
-    for (double &v : ns)
-        if (!(s >> v))
-            return false;
-    MsmPlan &p = e.plan;
-    p.windowBits = static_cast<unsigned>(pi[0]);
-    p.numWindows = static_cast<unsigned>(pi[1]);
-    p.scalarBits = static_cast<unsigned>(pi[2]);
-    p.glv = pi[3] != 0;
-    p.numBuckets = static_cast<std::uint64_t>(pi[4]);
-    p.signedDigits = pi[5] != 0;
-    p.gpusPerWindow = static_cast<int>(pi[6]);
-    p.windowsPerGpu = static_cast<unsigned>(pi[7]);
-    p.threadsPerBucket = static_cast<int>(pi[8]);
-    p.bucketsSplitAcrossGpus = pi[9] != 0;
-    p.precompute = pi[10] != 0;
-    p.tableBytes = static_cast<std::uint64_t>(pi[11]);
-    p.collective = static_cast<CollectiveAlgo>(pi[12]);
-    p.mergeBytesPerGpu = static_cast<std::uint64_t>(pi[13]);
-    p.fieldBackend = static_cast<FieldBackend>(pi[14]);
-    p.fieldBackendAuto = pi[15] != 0;
-    p.pipelineDepth = static_cast<int>(pi[16]);
-    p.devicePartitions = static_cast<int>(pi[17]);
-    Candidate &c = e.winner;
-    c.windowBits = static_cast<unsigned>(ci[0]);
-    c.signedDigits = ci[1] != 0;
-    c.glv = ci[2] != 0;
-    c.batchAffine = ci[3] != 0;
-    c.precompute = ci[4] != 0;
-    c.cpuBucketReduce = ci[5] != 0;
-    c.fieldBackend = static_cast<FieldBackend>(ci[6]);
-    c.collective = static_cast<CollectivePolicy>(ci[7]);
-    c.threadsPerBucket = static_cast<int>(ci[8]);
-    c.pipelineDepth = static_cast<int>(ci[9]);
-    c.devicePartitions = static_cast<int>(ci[10]);
-    e.searchedNs = ns[0];
-    e.heuristicNs = ns[1];
-    return true;
+    bool ok = static_cast<bool>(s >> key);
+    forEachPlanField(e.plan, [&](auto &field) {
+        long long v = 0;
+        ok = ok && static_cast<bool>(s >> v);
+        field = static_cast<std::remove_cvref_t<decltype(field)>>(v);
+    });
+    std::string rest;
+    return ok && static_cast<bool>(s >> e.searchedNs >> e.heuristicNs) &&
+           !(s >> rest);
 }
 
 /**
@@ -359,22 +406,6 @@ class PlanCache
     std::unordered_map<std::uint64_t, CacheEntry> entries_;
 };
 
-/** Window-bits dimension: the caller's pin, or the model's pick (0)
- *  bracketed two bits each way within the planner's [4, 24] range. */
-std::vector<unsigned>
-windowCandidates(const MsmOptions &base, unsigned heuristic_bits)
-{
-    if (base.windowBitsOverride != 0)
-        return {base.windowBitsOverride};
-    std::vector<unsigned> out{0};
-    for (int d = -2; d <= 2; ++d) {
-        const int s = static_cast<int>(heuristic_bits) + d;
-        if (s >= 4 && s <= 24)
-            out.push_back(static_cast<unsigned>(s));
-    }
-    return out;
-}
-
 /**
  * Score one realized candidate: heuristic plan + analytic timeline.
  *
@@ -409,82 +440,18 @@ scoreCandidate(const CurveProfile &curve, std::uint64_t n,
     return pipelineMakespanNs(tasks) / static_cast<double>(d * k);
 }
 
-/** The knob value lists one search enumerates (fixed order; a
- *  pinned option collapses its dimension to a singleton). */
-struct SearchDims
+/** Steps the odometer @p at over @p dims, last knob fastest (so the
+ *  first knob is the outermost loop); false once it wraps. */
+bool
+advance(std::array<std::size_t, kNumKnobs> &at,
+        const std::array<Values, kNumKnobs> &dims)
 {
-    std::vector<unsigned> windows;
-    std::vector<bool> toggles{false, true};
-    std::vector<bool> glvs;
-    std::vector<bool> cpuReduce;
-    std::vector<FieldBackend> backends;
-    std::vector<CollectivePolicy> collectives;
-    std::vector<int> tpbs;
-    std::vector<int> depths;
-    std::vector<int> partitions;
-
-    std::uint64_t
-    space() const
-    {
-        return static_cast<std::uint64_t>(windows.size()) *
-               toggles.size() * glvs.size() * toggles.size() *
-               toggles.size() * cpuReduce.size() * backends.size() *
-               collectives.size() * tpbs.size() * depths.size() *
-               partitions.size();
+    for (std::size_t k = kNumKnobs; k-- > 0;) {
+        if (++at[k] < dims[k].size())
+            return true;
+        at[k] = 0;
     }
-};
-
-SearchDims
-buildDims(const CurveProfile &curve, const gpusim::Cluster &cluster,
-          const MsmOptions &base, const MsmPlan &seed_plan)
-{
-    SearchDims d;
-    d.windows = windowCandidates(base, seed_plan.windowBits);
-    d.glvs = curve.glvScalarBits == 0 ? std::vector<bool>{false}
-                                      : std::vector<bool>{false, true};
-    d.tpbs = {base.threadsPerBucket};
-    if (2 * seed_plan.threadsPerBucket != base.threadsPerBucket)
-        d.tpbs.push_back(2 * seed_plan.threadsPerBucket);
-    if (base.fieldBackend != FieldBackend::Auto) {
-        d.backends = {base.fieldBackend};
-    } else if (!base.kernel.tensorCoreMont) {
-        // Auto must not resurrect an explicitly stripped variant.
-        d.backends = {FieldBackend::CudaCore};
-    } else {
-        d.backends = {FieldBackend::CudaCore,
-                      FieldBackend::TensorCore};
-    }
-    if (base.collective == CollectivePolicy::Ring ||
-        base.collective == CollectivePolicy::Tree ||
-        base.collective == CollectivePolicy::ReduceScatter) {
-        d.collectives = {base.collective};
-    } else {
-        // Gather (the legacy default) and Auto both mean "merge
-        // strategy not pinned": search the four concrete
-        // strategies against the full timeline, which sees overlap
-        // effects the link tuner's local argmin cannot.
-        d.collectives = {CollectivePolicy::Gather,
-                         CollectivePolicy::Ring,
-                         CollectivePolicy::Tree,
-                         CollectivePolicy::ReduceScatter};
-    }
-    d.cpuReduce = base.cpuBucketReduce ? std::vector<bool>{false, true}
-                                       : std::vector<bool>{false};
-    // Pipeline depth / device partitions: 0 opts the dimension into
-    // the search; any explicit value pins it. Partitions must divide
-    // the cluster evenly (the heuristic falls back to 1 otherwise).
-    if (base.pipelineDepth == 0)
-        d.depths = {1, 2, 4};
-    else
-        d.depths = {std::max(1, base.pipelineDepth)};
-    if (base.devicePartitions == 0) {
-        for (const int k : {1, 2, 4})
-            if (k <= cluster.numGpus() && cluster.numGpus() % k == 0)
-                d.partitions.push_back(k);
-    } else {
-        d.partitions = {std::max(1, base.devicePartitions)};
-    }
-    return d;
+    return false;
 }
 
 /** The search proper (no cache involvement). */
@@ -496,20 +463,24 @@ searchPlans(const CurveProfile &curve, std::uint64_t n,
     // re-derive, and keying on the candidate keeps the tie-break
     // story identical to the kernel scheduler's.
     sched::SearchDriver<Candidate, double> driver;
+    const auto score = [&](const Candidate &c) {
+        MsmPlan plan;
+        return scoreCandidate(curve, n, cluster, realize(base, c), plan);
+    };
 
     const Candidate seed = seedCandidate(base);
     MsmPlan seed_plan;
-    const double seed_ns =
-        scoreCandidate(curve, n, cluster, realize(base, seed),
-                       seed_plan);
+    const double seed_ns = scoreCandidate(
+        curve, n, cluster, realize(base, seed), seed_plan);
     driver.seed(seed, seed_ns);
 
-    const SearchDims dims = buildDims(curve, cluster, base, seed_plan);
-    const auto score = [&](const Candidate &c) {
-        MsmPlan plan;
-        return scoreCandidate(curve, n, cluster, realize(base, c),
-                              plan);
-    };
+    const SpaceInputs inputs{curve, cluster.numGpus(), base, seed_plan};
+    std::array<Values, kNumKnobs> dims;
+    std::uint64_t space = 1;
+    for (std::size_t k = 0; k < kNumKnobs; ++k) {
+        dims[k] = kKnobs[k].values(inputs);
+        space *= dims[k].size();
+    }
 
     const int beam = beamWidthFromEnv();
     if (beam > 0) {
@@ -522,116 +493,17 @@ searchPlans(const CurveProfile &curve, std::uint64_t n,
         // seed. Stems carry their scores forward between stages
         // (offered to the next pool unscored); only genuinely new
         // knob values cost an evaluation.
-        using Setter = std::function<std::vector<Candidate>(
-            const Candidate &)>;
-        const std::vector<Setter> stages{
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const unsigned v : dims.windows)
-                    if (v != s.windowBits) {
-                        out.push_back(s);
-                        out.back().windowBits = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.toggles)
-                    if (v != s.signedDigits) {
-                        out.push_back(s);
-                        out.back().signedDigits = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.glvs)
-                    if (v != s.glv) {
-                        out.push_back(s);
-                        out.back().glv = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.toggles)
-                    if (v != s.batchAffine) {
-                        out.push_back(s);
-                        out.back().batchAffine = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.toggles)
-                    if (v != s.precompute) {
-                        out.push_back(s);
-                        out.back().precompute = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.cpuReduce)
-                    if (v != s.cpuBucketReduce) {
-                        out.push_back(s);
-                        out.back().cpuBucketReduce = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const FieldBackend v : dims.backends)
-                    if (v != s.fieldBackend) {
-                        out.push_back(s);
-                        out.back().fieldBackend = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const CollectivePolicy v : dims.collectives)
-                    if (v != s.collective) {
-                        out.push_back(s);
-                        out.back().collective = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const int v : dims.tpbs)
-                    if (v != s.threadsPerBucket) {
-                        out.push_back(s);
-                        out.back().threadsPerBucket = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const int v : dims.depths)
-                    if (v != s.pipelineDepth) {
-                        out.push_back(s);
-                        out.back().pipelineDepth = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const int v : dims.partitions)
-                    if (v != s.devicePartitions) {
-                        out.push_back(s);
-                        out.back().devicePartitions = v;
-                    }
-                return out;
-            },
-        };
         std::vector<sched::BeamPool<Candidate, double>::Entry> stems{
             {seed, seed_ns}};
-        for (const Setter &stage : stages) {
+        for (std::size_t k = 0; k < kNumKnobs; ++k) {
             sched::BeamPool<Candidate, double> pool(beam);
             for (const auto &stem : stems) {
                 pool.offer(stem.candidate, stem.score);
-                for (const Candidate &c : stage(stem.candidate)) {
+                for (const int v : dims[k]) {
+                    if (v == stem.candidate[k])
+                        continue;
+                    Candidate c = stem.candidate;
+                    c[k] = v;
                     const double ns = score(c);
                     driver.consider(c, ns);
                     pool.offer(c, ns);
@@ -641,51 +513,21 @@ searchPlans(const CurveProfile &curve, std::uint64_t n,
         }
         // Everything the narrowed beam never reached counts as
         // pruned — the exhaustive space minus what was scored.
-        const std::uint64_t space = dims.space();
         if (space > driver.stats().evaluated)
             driver.prune(space - driver.stats().evaluated);
     } else {
-        for (const unsigned w : dims.windows)
-            for (const bool sd : dims.toggles)
-                for (const bool glv : dims.glvs)
-                    for (const bool ba : dims.toggles)
-                        for (const bool pre : dims.toggles)
-                            for (const bool cpu : dims.cpuReduce)
-                                for (const FieldBackend fb :
-                                     dims.backends)
-                                    for (const CollectivePolicy cp :
-                                         dims.collectives)
-                                        for (const int tpb : dims.tpbs)
-                                            for (const int dep :
-                                                 dims.depths)
-                                                for (const int par :
-                                                     dims.partitions) {
-                                                    Candidate c;
-                                                    c.windowBits = w;
-                                                    c.signedDigits =
-                                                        sd;
-                                                    c.glv = glv;
-                                                    c.batchAffine = ba;
-                                                    c.precompute = pre;
-                                                    c.cpuBucketReduce =
-                                                        cpu;
-                                                    c.fieldBackend =
-                                                        fb;
-                                                    c.collective = cp;
-                                                    c.threadsPerBucket =
-                                                        tpb;
-                                                    c.pipelineDepth =
-                                                        dep;
-                                                    c.devicePartitions =
-                                                        par;
-                                                    driver.consider(
-                                                        c, score(c));
-                                                }
+        std::array<std::size_t, kNumKnobs> at{};
+        do {
+            Candidate c;
+            for (std::size_t k = 0; k < kNumKnobs; ++k)
+                c[k] = dims[k][at[k]];
+            driver.consider(c, score(c));
+        } while (advance(at, dims));
     }
 
     AutoPlanResult r;
-    r.options = realize(base, driver.best());
-    r.plan = planMsmHeuristic(curve, n, cluster, r.options);
+    r.plan = planMsmHeuristic(curve, n, cluster,
+                              realize(base, driver.best()));
     // The caller asked Auto (or pinned a backend); whether *this*
     // search or the heuristic's local rule resolved it, the plan's
     // provenance bit reports the caller's contract.
@@ -731,39 +573,22 @@ autoplanMsm(const CurveProfile &curve, std::uint64_t n,
     const std::uint64_t evals_before =
         gpusim::CostModel::evaluations();
     const bool cached_mode = base.planner == PlannerMode::Cached;
+    const std::uint64_t key =
+        cached_mode ? cacheKey(curve, n, cluster, base) : 0;
 
-    if (cached_mode) {
-        const std::uint64_t key = cacheKey(curve, n, cluster, base);
-        CacheEntry entry;
-        if (PlanCache::instance().lookup(key, entry)) {
-            AutoPlanResult r;
-            r.plan = entry.plan;
-            r.options = realize(base, entry.winner);
-            r.options.trace = base.trace;
-            r.searchedNs = entry.searchedNs;
-            r.heuristicNs = entry.heuristicNs;
-            r.cacheHit = true;
-            r.costModelEvals =
-                gpusim::CostModel::evaluations() - evals_before;
-            recordMetrics(base, r, cached_mode);
-            return r;
-        }
-        AutoPlanResult r = searchPlans(curve, n, cluster, base);
-        CacheEntry fresh;
-        fresh.plan = r.plan;
-        fresh.winner = seedCandidate(r.options);
-        fresh.searchedNs = r.searchedNs;
-        fresh.heuristicNs = r.heuristicNs;
-        PlanCache::instance().store(key, fresh);
-        r.options.trace = base.trace;
-        r.costModelEvals =
-            gpusim::CostModel::evaluations() - evals_before;
-        recordMetrics(base, r, cached_mode);
-        return r;
+    AutoPlanResult r;
+    CacheEntry entry;
+    if (cached_mode && PlanCache::instance().lookup(key, entry)) {
+        r.plan = entry.plan;
+        r.searchedNs = entry.searchedNs;
+        r.heuristicNs = entry.heuristicNs;
+        r.cacheHit = true;
+    } else {
+        r = searchPlans(curve, n, cluster, base);
+        if (cached_mode)
+            PlanCache::instance().store(
+                key, {r.plan, r.searchedNs, r.heuristicNs});
     }
-
-    AutoPlanResult r = searchPlans(curve, n, cluster, base);
-    r.options.trace = base.trace;
     r.costModelEvals =
         gpusim::CostModel::evaluations() - evals_before;
     recordMetrics(base, r, cached_mode);

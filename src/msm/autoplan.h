@@ -15,6 +15,12 @@
  * or partitions > 1 score the amortized two-stage flow-shop makespan
  * instead), in the spirit of Halide's autoschedulers.
  *
+ * The searchable knobs live in one table in autoplan.cc (kKnobs):
+ * each row names an MsmOptions field and the values the search
+ * enumerates for it. Making another knob searchable is one row
+ * there; the exhaustive odometer, the beam stages, the seed and the
+ * scoring probe all walk the table.
+ *
  * DISTMSM_AUTOPLAN_BEAM=<width> replaces the exhaustive enumeration
  * with a staged beam search: one knob is fixed per stage and only
  * the `width` best partial refinements survive to the next stage.
@@ -31,6 +37,10 @@
  *    searched plan stays inside the space the functional engine can
  *    execute, and scoring probes pin PlannerMode::Heuristic — the
  *    search cannot recurse into itself.
+ *  - The result is an MsmPlan and nothing else: the plan records
+ *    every decision a candidate made, and it is the engine's and the
+ *    estimator's only source of algorithmic decisions, so executing
+ *    or re-pricing a searched plan needs only the caller's options.
  *  - The search is deterministic: a fixed enumeration order and
  *    first-seen tie-breaks make repeated calls agree bit-exactly.
  *
@@ -39,7 +49,10 @@
  * option mask). A warm hit returns the stored plan bit-identically
  * and performs zero cost-model evaluations
  * (CostModel::evaluations()); entries persist across processes in
- * DISTMSM_PLAN_CACHE (or ~/.cache/distmsm/plans.tsv).
+ * DISTMSM_PLAN_CACHE (or ~/.cache/distmsm/plans.tsv) as v3 records
+ * (the key, every MsmPlan field, the two scores). Any other line —
+ * older formats, truncated or over-long records — is ignored, so the
+ * lookup misses and the search runs afresh.
  */
 
 #ifndef DISTMSM_MSM_AUTOPLAN_H
@@ -58,14 +71,6 @@ struct AutoPlanResult
 {
     /** The argmin plan (the heuristic plan when nothing beat it). */
     MsmPlan plan;
-    /**
-     * The winning candidate's realized options: the caller's options
-     * with the searched functional knobs (signedDigits, batchAffine,
-     * glv, precompute, cpuBucketReduce, ...) applied and planner
-     * reset to Heuristic. The engine adopts these so execution
-     * matches what the score priced.
-     */
-    MsmOptions options;
     /** Analytic totalNs of the searched / heuristic plans. */
     double searchedNs = 0.0;
     double heuristicNs = 0.0;

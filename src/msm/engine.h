@@ -49,7 +49,6 @@
 #include "src/field/batch_inverse.h"
 #include "src/gpusim/faults.h"
 #include "src/gpusim/health.h"
-#include "src/msm/autoplan.h"
 #include "src/msm/batch_affine.h"
 #include "src/msm/bucket_reduce.h"
 #include "src/msm/checksum.h"
@@ -151,20 +150,12 @@ class MsmEngine
             Curve::kScalarBits, Curve::kAIsZero,
             glv::CurveGlv<Curve>::kSupported ? glv::kHalfScalarBits
                                              : 0};
-        // Whether the *user* forced the tensor-core backend must be
-        // read off the original options before the autoscheduler
-        // swaps in the realized candidate: the search may force
-        // TensorCore purely for pricing, and that must not engage
-        // the slow differential execution. The differential tcmul
-        // execution engages only on a *forced* TensorCore (the
-        // planner's Auto pick prices TC while the functional path
-        // stays on CIOS — bit-identical either way).
+        // The differential tcmul execution engages only when the
+        // *user* forced TensorCore: the planner's Auto pick, and the
+        // search pinning TensorCore for pricing, price TC while the
+        // functional path stays on CIOS — bit-identical either way.
         tc_exec_ =
             options_.fieldBackend == gpusim::FieldBackend::TensorCore;
-        // The autoscheduler's realized options carry
-        // planner=Heuristic; remember the caller's mode so a health
-        // re-plan can re-enter the search over the shrunken fleet.
-        original_planner_ = options_.planner;
         stagePlan();
     }
 
@@ -217,7 +208,7 @@ class MsmEngine
                 "points/scalars size mismatch");
         // A stale health generation (a quarantine, parole or
         // reintegration since planning) invalidates the plan:
-        // re-plan — through the caller's original planner mode, so
+        // re-plan — through the caller's planner mode, so
         // Search/Cached re-search — over the changed schedulable
         // fleet before reading any plan field. Not thread-safe
         // against concurrent tryCompute calls on one engine; health
@@ -229,10 +220,7 @@ class MsmEngine
         MsmResult<Curve> result;
         result.plan = plan_;
         const unsigned s = plan_.windowBits;
-        const std::size_t n_buckets =
-            options_.signedDigits
-                ? (std::size_t{1} << (s - 1)) + 1
-                : std::size_t{1} << s;
+        const std::size_t n_buckets = plan_.numBuckets + 1;
         const int host_threads =
             support::resolveHostThreads(options_.hostThreads);
         auto &pool = support::ThreadPool::global();
@@ -269,7 +257,7 @@ class MsmEngine
         // digits[i]. The window passes cover plan_.scalarBits — the
         // GLV half width when active.
         std::vector<std::vector<std::int32_t>> digits;
-        if (options_.signedDigits) {
+        if (plan_.signedDigits) {
             digits.resize(n_eff);
             pool.parallelFor(
                 0, n_eff,
@@ -284,7 +272,7 @@ class MsmEngine
         // negate) against the bucket array.
         auto digit_of = [&](unsigned w, std::size_t i,
                             std::uint32_t &id, std::uint8_t &neg) {
-            if (options_.signedDigits) {
+            if (plan_.signedDigits) {
                 const std::int32_t d = digits[i][w];
                 id = static_cast<std::uint32_t>(d < 0 ? -d : d);
                 neg = d < 0;
@@ -1020,34 +1008,21 @@ class MsmEngine
 
     /**
      * Plan and stage everything the plan needs: the constructor and
-     * every health-generation change (tryCompute) run this. Planning
-     * routes through the caller's original planner mode — the
-     * autoscheduler returns the argmin plan *and* the winning
-     * candidate's realized options (signed digits, batch-affine,
-     * GLV, ... — the functional knobs the score priced), adopted so
-     * execution matches the plan; the realized options carry
-     * planner=Heuristic. A re-plan searches over the
-     * quarantine-shrunken cluster (planningCluster). Then: the
-     * effective kernel variant, the phi images, the precompute table,
-     * the planned health generation and the watchdog's window
-     * estimate. Mutates the mutable planning state, so concurrent
-     * tryCompute calls on one engine are not supported with a tracker
-     * attached.
+     * every health-generation change (tryCompute) run this. planMsm
+     * honors the caller's planner mode (heuristic, search, cached)
+     * over the quarantine-shrunken cluster (planningCluster), and the
+     * plan is the engine's only source of algorithmic decisions.
+     * Then: the effective kernel variant, the phi images, the
+     * precompute table, the planned health generation and the
+     * watchdog's window estimate. Mutates the mutable planning state,
+     * so concurrent tryCompute calls on one engine are not supported
+     * with a tracker attached.
      */
     void
     stagePlan() const
     {
-        MsmOptions plan_opts = options_;
-        plan_opts.planner = original_planner_;
-        if (original_planner_ != PlannerMode::Heuristic) {
-            AutoPlanResult searched = autoplanMsm(
-                curve_profile_, points_.size(), cluster_, plan_opts);
-            options_ = searched.options;
-            plan_ = searched.plan;
-        } else {
-            plan_ = planMsm(curve_profile_, points_.size(), cluster_,
-                            plan_opts);
-        }
+        plan_ = planMsm(curve_profile_, points_.size(), cluster_,
+                        options_);
         // Every cost-model price in the engine uses the kernel
         // variant as the plan's resolved field backend executes it.
         eff_kernel_ = gpusim::applyFieldBackend(options_.kernel,
@@ -1188,7 +1163,7 @@ class MsmEngine
             cfg.traceLabel = std::move(label);
             cfg.traceLane = lane;
         }
-        return options_.hierarchicalScatter
+        return plan_.hierarchicalScatter
                    ? hierarchicalScatter(ids, plan_.windowBits, cfg)
                    : naiveScatter(ids, plan_.windowBits, cfg);
     }
@@ -1209,7 +1184,7 @@ class MsmEngine
         const field::TcBackendScope tc_scope(tc_exec_);
         const std::size_t lo = sliceBound(sums.size(), g, groups);
         const std::size_t hi = sliceBound(sums.size(), g + 1, groups);
-        if (options_.batchAffine) {
+        if (plan_.batchAffine) {
             BatchAffineScratch<Curve> scratch;
             batchAffineAccumulate<Curve>(buckets, lo, hi, point_of,
                                          sums, stats, scratch);
@@ -1259,11 +1234,12 @@ class MsmEngine
      * merge folds the shipments per device and routes them along the
      * schedule (mergeViaCollective); every key has exactly one
      * contributor, so the points reaching the host are bit-identical
-     * to the gather's. Under CollectivePolicy::Auto the strategy is
-     * re-resolved here against the merge's *actual* payload size
-     * (the plan resolved it once, at the planning-time estimate);
-     * when that pick is Gather, each device's folded payload ships
-     * straight to the host, devices ascending.
+     * to the gather's. Under CollectivePolicy::Auto (the plan's
+     * collectiveAuto) the strategy is re-resolved here against the
+     * merge's *actual* payload size (the plan resolved it once, at
+     * the planning-time estimate); when that pick is Gather, each
+     * device's folded payload ships straight to the host, devices
+     * ascending.
      */
     support::Status
     shipAll(std::vector<Shipment> ships, FaultState &fs,
@@ -1294,7 +1270,7 @@ class MsmEngine
                 }
             // The busiest member's bytes: deterministic at every
             // hostThreads (the payload partition is fixed).
-            if (options_.collective == gpusim::CollectivePolicy::Auto)
+            if (plan_.collectiveAuto)
                 algo = gpusim::CollectiveTimeEstimator(
                            cluster_.topology(), cluster_.device())
                            .pick(gpusim::CollectivePolicy::Auto,
@@ -1826,13 +1802,13 @@ class MsmEngine
     std::vector<AffinePoint<Curve>> points_;
     // The planning state below is mutable: a health-generation
     // change re-plans from inside the const tryCompute (see
-    // replanForHealth). Engines with a tracker attached must not
+    // stagePlan). Engines with a tracker attached must not
     // run concurrent tryCompute calls; without one, nothing here
     // ever changes after construction.
     /** phi(P_i) images when the plan enabled GLV (else empty). */
     mutable std::vector<AffinePoint<Curve>> phi_points_;
     gpusim::Cluster cluster_;
-    mutable MsmOptions options_;
+    MsmOptions options_;
     gpusim::CurveProfile curve_profile_;
     mutable MsmPlan plan_;
     /**
@@ -1846,13 +1822,6 @@ class MsmEngine
     /** Shared precompute table (plan_.precompute; else null). */
     mutable std::shared_ptr<const PrecomputeTable<Curve>> table_;
     mutable bool table_cache_hit_ = false;
-    /**
-     * The caller's requested planner mode, captured before the
-     * constructor folded an autoplan result into options_ — the mode
-     * replanForHealth re-searches with after a quarantine shrinks
-     * the fleet.
-     */
-    PlannerMode original_planner_ = PlannerMode::Heuristic;
     /** Health generation plan_ was computed against. */
     mutable std::uint64_t planned_generation_ = 0;
     /**

@@ -10,6 +10,7 @@
 #include "src/msm/precompute.h"
 
 #include "src/support/check.h"
+#include "src/support/fnv1a.h"
 #include "src/support/trace.h"
 
 namespace distmsm::msm {
@@ -155,6 +156,18 @@ planMsmHeuristic(const CurveProfile &curve, std::uint64_t n,
 
     plan.numWindows = windowCount(plan.scalarBits, plan.windowBits);
     plan.signedDigits = options.signedDigits;
+    plan.batchAffine = options.batchAffine;
+    plan.cpuBucketReduce = options.cpuBucketReduce;
+    plan.collectiveAuto =
+        options.collective == gpusim::CollectivePolicy::Auto;
+    // The hierarchical kernel needs 2^s counters plus a tile in
+    // shared memory; above that (s > 14 on the A100) DistMSM falls
+    // back to the naive scatter, which single-GPU window sizes
+    // prefer anyway (Figure 11).
+    plan.hierarchicalScatter =
+        options.hierarchicalScatter &&
+        hierarchicalSharedBytes(plan.windowBits, options.scatter, 1) <=
+            options.scatter.sharedBytesPerBlock;
     if (options.signedDigits) {
         // One extra window absorbs the final carry; buckets halve.
         ++plan.numWindows;
@@ -248,9 +261,8 @@ planMsmHeuristic(const CurveProfile &curve, std::uint64_t n,
         if (!options.kernel.tensorCoreMont) {
             plan.fieldBackend = gpusim::FieldBackend::CudaCore;
         } else {
-            const EcOp acc_op = options.batchAffine
-                                    ? EcOp::AffineAdd
-                                    : EcOp::Pacc;
+            const EcOp acc_op =
+                plan.batchAffine ? EcOp::AffineAdd : EcOp::Pacc;
             const std::uint64_t acc_ops = std::max<std::uint64_t>(
                 1, n_eff * plan.numWindows / cluster.numGpus());
             const CostModel &model = cluster.model();
@@ -346,19 +358,8 @@ estimateDistMsm(const CurveProfile &curve, std::uint64_t n,
                 const gpusim::Cluster &cluster,
                 const MsmOptions &options)
 {
-    if (options.planner != PlannerMode::Heuristic) {
-        // Price the timeline under the *realized* options (the
-        // winning candidate's functional knobs), not the caller's
-        // starting knobs — that is the configuration the search
-        // scored and the engine will execute.
-        const AutoPlanResult r =
-            autoplanMsm(curve, n, cluster, options);
-        return estimateDistMsmWithPlan(curve, n, cluster, r.options,
-                                       r.plan);
-    }
-    return estimateDistMsmWithPlan(
-        curve, n, cluster, options,
-        planMsmHeuristic(curve, n, cluster, options));
+    return estimateDistMsmWithPlan(curve, n, cluster, options,
+                                   planMsm(curve, n, cluster, options));
 }
 
 MsmTimeline
@@ -394,16 +395,8 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     // the sub-window regime it inserts only its bucket slice.
     const double scanned = std::max(1.0, windows_per_gpu) * n_eff;
     const double inserted = windows_per_gpu * n_eff;
-    // The hierarchical kernel needs 2^s counters plus a tile in
-    // shared memory; above that (s > 14 on the A100) DistMSM falls
-    // back to the naive scatter, which single-GPU window sizes
-    // prefer anyway (Figure 11).
-    const bool hierarchical =
-        options.hierarchicalScatter &&
-        hierarchicalSharedBytes(plan.windowBits, options.scatter, 1) <=
-            options.scatter.sharedBytesPerBlock;
     const KernelStats scatter_stats = synthesizeScatterStats(
-        hierarchical, static_cast<std::uint64_t>(inserted),
+        plan.hierarchicalScatter, static_cast<std::uint64_t>(inserted),
         plan.windowBits, options.scatter);
     const int scatter_threads = std::min<std::uint64_t>(
         spec.maxConcurrentThreads(),
@@ -424,7 +417,7 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     // Batched-affine accumulation replaces the 10-mul pacc with the
     // ~7-modmul amortized affine add.
     const EcOp acc_op =
-        options.batchAffine ? EcOp::AffineAdd : EcOp::Pacc;
+        plan.batchAffine ? EcOp::AffineAdd : EcOp::Pacc;
     const double buckets_per_gpu = buckets * windows_per_gpu;
     const std::uint64_t tree_padds = static_cast<std::uint64_t>(
         buckets_per_gpu * (plan.threadsPerBucket - 1));
@@ -489,12 +482,10 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     // made at the CPU placement's payload). Forced policies keep the
     // plan's resolved strategy for both, bit-compatible with every
     // earlier timeline.
-    const bool auto_collective =
-        options.collective == gpusim::CollectivePolicy::Auto;
     const gpusim::CollectiveAlgo cpu_algo =
-        auto_collective ? cpu_merge_costs.best() : plan.collective;
+        plan.collectiveAuto ? cpu_merge_costs.best() : plan.collective;
     const gpusim::CollectiveAlgo gpu_algo =
-        auto_collective ? gpu_merge_costs.best() : plan.collective;
+        plan.collectiveAuto ? gpu_merge_costs.best() : plan.collective;
     const double transfer_cpu_ns = cpu_merge_costs.ns(cpu_algo);
     const double transfer_gpu_ns = gpu_merge_costs.ns(gpu_algo);
 
@@ -507,7 +498,7 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
             ? std::max(0.0, host_reduce_ns -
                                 (gpu_side_ns + transfer_cpu_ns))
             : host_reduce_ns;
-    const bool cpu_reduce = options.cpuBucketReduce &&
+    const bool cpu_reduce = plan.cpuBucketReduce &&
                             effective_host_ns < gpu_reduce_ns;
     t.cpuReduce = cpu_reduce;
     t.bucketReduceNs = cpu_reduce ? host_reduce_ns : gpu_reduce_ns;
@@ -628,22 +619,6 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     return t;
 }
 
-namespace {
-
-/** Deterministic 64-bit FNV-1a, used to salt flow-arrow ids. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
-
 void
 traceMsmTimeline(support::TraceRecorder &trace, const MsmPlan &plan,
                  const MsmTimeline &t,
@@ -691,7 +666,7 @@ traceMsmTimeline(support::TraceRecorder &trace, const MsmPlan &plan,
                        lane::kComputeTid, sum_end, t.bucketReduceNs);
         trace.span(prefix + "transfer", "transfer", pid,
                    lane::kTransferTid, gpu_end, t.transferNs);
-        trace.flow(prefix + "sums", fnv1a(prefix) ^
+        trace.flow(prefix + "sums", support::fnv1a(prefix) ^
                        static_cast<std::uint64_t>(d),
                    pid, lane::kTransferTid, gpu_stage_end,
                    lane::kHostPid, lane::kComputeTid, gpu_stage_end);

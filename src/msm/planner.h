@@ -6,9 +6,15 @@
  * window size (per-thread workload model, Section 3.1), the work
  * distribution (whole windows per GPU, or buckets of a window split
  * across GPUs, Section 3.2.2), the scatter kernel and where
- * bucket-reduce runs (Section 3.2.3). The same plan drives both the
- * functional execution (distmsm.h) and the analytic timeline used at
- * paper-scale N, so the two cannot drift apart.
+ * bucket-reduce runs (Section 3.2.3). The plan is the only source of
+ * algorithmic decisions for both the functional execution
+ * (engine.h) and the analytic timeline used at paper-scale N
+ * (estimateDistMsmWithPlan): every choice either of them makes —
+ * window, digits, GLV, scatter kernel, accumulation, reduce
+ * placement, merge strategy, field backend — is resolved here and
+ * read from MsmPlan, never re-derived from MsmOptions, so the two
+ * cannot drift apart. The plan search (autoplan.h) returns an
+ * MsmPlan and nothing else.
  */
 
 #ifndef DISTMSM_MSM_PLANNER_H
@@ -267,6 +273,25 @@ struct MsmPlan
     /** Resolved MsmOptions::devicePartitions; >= 1 and dividing the
      *  device count in a built plan. */
     int devicePartitions = 1;
+    /**
+     * Hierarchical (Algorithm 3) scatter: requested by
+     * MsmOptions::hierarchicalScatter and granted only when its 2^s
+     * counters plus a one-element tile fit the block's shared memory
+     * (hierarchicalSharedBytes). Above that (s > 14 on the A100)
+     * DistMSM runs the naive scatter (Figure 11).
+     */
+    bool hierarchicalScatter = true;
+    /** Batched-affine bucket accumulation (MsmOptions::batchAffine). */
+    bool batchAffine = false;
+    /** The host bucket reduce is allowed (MsmOptions::
+     *  cpuBucketReduce); the timeline still picks the cheaper
+     *  placement. */
+    bool cpuBucketReduce = true;
+    /** MsmOptions::collective was Auto: every merge re-resolves the
+     *  strategy at its actual payload instead of using `collective`. */
+    bool collectiveAuto = false;
+
+    bool operator==(const MsmPlan &) const = default;
 };
 
 /**
@@ -315,7 +340,8 @@ synthesizeScatterStats(bool hierarchical, std::uint64_t elements,
 
 /**
  * Analytic end-to-end timeline of DistMSM under @p options
- * (paper-scale N allowed; nothing is executed).
+ * (paper-scale N allowed; nothing is executed): planMsm's plan,
+ * priced by estimateDistMsmWithPlan.
  */
 MsmTimeline estimateDistMsm(const gpusim::CurveProfile &curve,
                             std::uint64_t n,
@@ -324,8 +350,10 @@ MsmTimeline estimateDistMsm(const gpusim::CurveProfile &curve,
 
 /**
  * estimateDistMsm against an explicit @p plan instead of re-running
- * planMsm. The plan search scores candidates through this entry so a
- * Search-mode options struct cannot recurse back into the search.
+ * planMsm. Every algorithmic decision comes from @p plan; @p options
+ * supplies only what a plan does not decide (kernel variant, scatter
+ * geometry, overlap, checksums, faults, watchdog, trace). The plan
+ * search scores its candidates through this entry.
  */
 MsmTimeline estimateDistMsmWithPlan(const gpusim::CurveProfile &curve,
                                     std::uint64_t n,

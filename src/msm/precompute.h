@@ -40,6 +40,7 @@
 #include "src/ec/point.h"
 #include "src/field/batch_inverse.h"
 #include "src/support/check.h"
+#include "src/support/fnv1a.h"
 #include "src/support/thread_pool.h"
 
 namespace distmsm::msm {
@@ -179,13 +180,8 @@ template <typename Curve>
 std::uint64_t
 fingerprintBases(const std::vector<AffinePoint<Curve>> &points)
 {
-    std::uint64_t h = 14695981039346656037ull;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
+    support::Fnv1a h;
+    const auto mix = [&h](std::uint64_t v) { h.word(v); };
     mix(points.size());
     for (const auto &p : points) {
         mix(p.infinity ? 1 : 0);
@@ -194,7 +190,7 @@ fingerprintBases(const std::vector<AffinePoint<Curve>> &points)
         detail::mixFieldLimbs(mix, p.x);
         detail::mixFieldLimbs(mix, p.y);
     }
-    return h;
+    return h.value;
 }
 
 /** Cache key: base-set fingerprint + the table geometry. */

@@ -24,12 +24,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/ec/curves.h"
 #include "src/msm/autoplan.h"
 #include "src/msm/distmsm.h"
+#include "src/msm/engine.h"
 #include "src/msm/reference.h"
 #include "src/msm/workload.h"
 #include "src/support/prng.h"
@@ -45,28 +48,6 @@ using gpusim::CurveProfile;
 using gpusim::DeviceSpec;
 using gpusim::FieldBackend;
 using gpusim::Topology;
-
-bool
-samePlan(const MsmPlan &a, const MsmPlan &b)
-{
-    return a.windowBits == b.windowBits &&
-           a.numWindows == b.numWindows &&
-           a.scalarBits == b.scalarBits && a.glv == b.glv &&
-           a.numBuckets == b.numBuckets &&
-           a.signedDigits == b.signedDigits &&
-           a.gpusPerWindow == b.gpusPerWindow &&
-           a.windowsPerGpu == b.windowsPerGpu &&
-           a.threadsPerBucket == b.threadsPerBucket &&
-           a.bucketsSplitAcrossGpus == b.bucketsSplitAcrossGpus &&
-           a.precompute == b.precompute &&
-           a.tableBytes == b.tableBytes &&
-           a.collective == b.collective &&
-           a.mergeBytesPerGpu == b.mergeBytesPerGpu &&
-           a.fieldBackend == b.fieldBackend &&
-           a.fieldBackendAuto == b.fieldBackendAuto &&
-           a.pipelineDepth == b.pipelineDepth &&
-           a.devicePartitions == b.devicePartitions;
-}
 
 CurveProfile
 curveByIndex(unsigned i)
@@ -158,8 +139,8 @@ TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
 
         // The search is deterministic: re-planning returns the
         // same plan bit-identically.
-        EXPECT_TRUE(samePlan(planMsm(curve, n, cluster, search),
-                             planMsm(curve, n, cluster, search)));
+        EXPECT_TRUE(planMsm(curve, n, cluster, search) ==
+                    planMsm(curve, n, cluster, search));
     }
 }
 
@@ -177,18 +158,17 @@ TEST(AutoplanSweep, SeedIsHeuristicPlan)
     EXPECT_DOUBLE_EQ(
         r.heuristicNs,
         estimateDistMsm(curve, n, cluster, base).totalNs());
-    MsmOptions realized = r.options;
-    EXPECT_EQ(realized.planner, PlannerMode::Heuristic);
+    // The plan alone reproduces the searched score: the estimator
+    // reads every decision from it, not from the caller's options.
+    MsmOptions search = base;
+    search.planner = PlannerMode::Search;
     EXPECT_DOUBLE_EQ(
         r.searchedNs,
-        estimateDistMsm(curve, n, cluster, realized).totalNs());
-    // The returned plan is the realized winner's heuristic plan,
-    // with fieldBackendAuto post-stamped to the caller's contract
+        estimateDistMsm(curve, n, cluster, search).totalNs());
+    EXPECT_TRUE(r.plan == planMsm(curve, n, cluster, search));
+    // fieldBackendAuto is post-stamped to the caller's contract
     // (base asked Auto, so the provenance bit stays true even when
     // the search pinned a backend for pricing).
-    MsmPlan rederived = planMsmHeuristic(curve, n, cluster, realized);
-    rederived.fieldBackendAuto = r.plan.fieldBackendAuto;
-    EXPECT_TRUE(samePlan(r.plan, rederived));
     EXPECT_TRUE(r.plan.fieldBackendAuto);
     EXPECT_LE(r.searchedNs, r.heuristicNs);
     EXPECT_GE(r.evaluated, 1u);
@@ -231,7 +211,7 @@ TEST(AutoplanBeam, NarrowBeamNeverLosesWideBeamMatchesExhaustive)
     ASSERT_EQ(setenv("DISTMSM_AUTOPLAN_BEAM", "2", 1), 0);
     const AutoPlanResult a = autoplanMsm(curve, n, cluster, base);
     const AutoPlanResult b = autoplanMsm(curve, n, cluster, base);
-    EXPECT_TRUE(samePlan(a.plan, b.plan));
+    EXPECT_TRUE(a.plan == b.plan);
     EXPECT_DOUBLE_EQ(a.searchedNs, b.searchedNs);
 
     unsetenv("DISTMSM_AUTOPLAN_BEAM");
@@ -324,7 +304,7 @@ TEST(PlanCache, WarmHitIsBitIdenticalAndFree)
     const std::uint64_t evals_before = CostModel::evaluations();
     const MsmPlan warm = planMsm(curve, n, cluster, options);
     EXPECT_EQ(CostModel::evaluations(), evals_before);
-    EXPECT_TRUE(samePlan(cold, warm));
+    EXPECT_TRUE(cold == warm);
     EXPECT_EQ(trace.metrics().value("plan_cache/hits"), 1.0);
     EXPECT_EQ(trace.metrics().value("plan_cache/misses"), 1.0);
     EXPECT_EQ(trace.metrics().value("autoplan/cache_hit"), 1.0);
@@ -337,7 +317,7 @@ TEST(PlanCache, WarmHitIsBitIdenticalAndFree)
     const std::uint64_t evals_before2 = CostModel::evaluations();
     const MsmPlan reloaded = planMsm(curve, n, cluster, options);
     EXPECT_EQ(CostModel::evaluations(), evals_before2);
-    EXPECT_TRUE(samePlan(cold, reloaded));
+    EXPECT_TRUE(cold == reloaded);
     EXPECT_EQ(trace.metrics().value("plan_cache/hits"), 2.0);
     EXPECT_EQ(trace.metrics().value("plan_cache/misses"), 1.0);
 
@@ -378,7 +358,87 @@ TEST(PlanCache, PipelineKnobsRoundTripThroughPersistedFile)
     const std::uint64_t evals_before = CostModel::evaluations();
     const MsmPlan reloaded = planMsm(curve, n, cluster, options);
     EXPECT_EQ(CostModel::evaluations(), evals_before);
-    EXPECT_TRUE(samePlan(cold, reloaded));
+    EXPECT_TRUE(cold == reloaded);
+
+    std::remove(path.c_str());
+    unsetenv("DISTMSM_PLAN_CACHE");
+    resetPlanCacheForTesting();
+}
+
+// Plan-cache files come from outside the program. A stale v2 record,
+// a record truncated at any column boundary and a record with an
+// extra column must each be a miss followed by a fresh search whose
+// plan equals an uncached search.
+TEST(PlanCache, ForeignRecordsAreMisses)
+{
+    const std::string path =
+        ::testing::TempDir() + "distmsm_plan_cache_foreign.tsv";
+    const CurveProfile curve = CurveProfile::bn254();
+    const Cluster cluster(DeviceSpec::a100(), 2);
+    const std::uint64_t n = 1ull << 12;
+    MsmOptions cached;
+    cached.planner = PlannerMode::Search;
+    const MsmPlan uncached = planMsm(curve, n, cluster, cached);
+    cached.planner = PlannerMode::Cached;
+
+    // The record the program itself writes for this problem.
+    std::remove(path.c_str());
+    ASSERT_EQ(setenv("DISTMSM_PLAN_CACHE", path.c_str(), 1), 0);
+    resetPlanCacheForTesting();
+    planMsm(curve, n, cluster, cached);
+    std::string record;
+    {
+        std::ifstream is(path);
+        ASSERT_TRUE(std::getline(is, record));
+    }
+    std::vector<std::string> columns;
+    for (std::size_t at = 0;;) {
+        const std::size_t tab = record.find('\t', at);
+        columns.push_back(record.substr(at, tab - at));
+        if (tab == std::string::npos)
+            break;
+        at = tab + 1;
+    }
+    // The key, 22 plan fields, the two scores.
+    ASSERT_EQ(columns.size(), 25u);
+    const auto join = [&](std::size_t count) {
+        std::string line = columns[0];
+        for (std::size_t i = 1; i < count; ++i)
+            line += '\t' + columns[i];
+        return line;
+    };
+
+    // v2 layout: 18 plan fields, the 11 winning-candidate columns,
+    // the two scores.
+    std::string v2 = join(19);
+    for (int i = 0; i < 11; ++i)
+        v2 += "\t1";
+    v2 += '\t' + columns[23] + '\t' + columns[24];
+    std::vector<std::string> foreign{v2, record + "\t0"};
+    for (std::size_t count = 1; count < columns.size(); ++count)
+        foreign.push_back(join(count));
+
+    const auto lookup = [&](const std::string &line, double *misses) {
+        {
+            std::ofstream os(path, std::ios::trunc);
+            os << line << '\n';
+        }
+        resetPlanCacheForTesting();
+        support::TraceRecorder trace;
+        MsmOptions options = cached;
+        options.trace = &trace;
+        const MsmPlan plan = planMsm(curve, n, cluster, options);
+        *misses = trace.metrics().value("plan_cache/misses");
+        return plan;
+    };
+    double misses = 0.0;
+    // Control: the untouched record is a hit.
+    EXPECT_TRUE(lookup(record, &misses) == uncached);
+    EXPECT_EQ(misses, 0.0);
+    for (const std::string &line : foreign) {
+        EXPECT_TRUE(lookup(line, &misses) == uncached) << line;
+        EXPECT_EQ(misses, 1.0) << line;
+    }
 
     std::remove(path.c_str());
     unsetenv("DISTMSM_PLAN_CACHE");
@@ -507,6 +567,245 @@ TEST(PlannerFixes, NdimBaselineUsesCeilingSlice)
             .totalNs();
     EXPECT_GT(just_over, at_n);
     EXPECT_DOUBLE_EQ(just_over, next_full);
+}
+
+// ---------------------------------------------------------------
+// Characterization: search outcomes and searched-engine results
+// pinned to recorded hashes. Any change in what the search
+// enumerates, scores, counts or returns, or in what an engine runs
+// under a searched or cached plan, shows up here.
+// ---------------------------------------------------------------
+
+/** FNV-1a over the eight little-endian bytes of each mixed word. */
+struct Hasher
+{
+    std::uint64_t h = 14695981039346656037ull;
+
+    void
+    word(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+
+    void
+    real(double v)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        word(bits);
+    }
+
+    void
+    raw(const void *p, std::size_t size)
+    {
+        const auto *bytes = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < size; ++i)
+            word(bytes[i]);
+    }
+
+    /** The eighteen plan fields the pinned hashes were recorded
+     *  over. */
+    void
+    plan(const MsmPlan &p)
+    {
+        for (const std::uint64_t v :
+             {std::uint64_t{p.windowBits}, std::uint64_t{p.numWindows},
+              std::uint64_t{p.scalarBits}, std::uint64_t{p.glv},
+              p.numBuckets, std::uint64_t{p.signedDigits},
+              static_cast<std::uint64_t>(p.gpusPerWindow),
+              std::uint64_t{p.windowsPerGpu},
+              static_cast<std::uint64_t>(p.threadsPerBucket),
+              std::uint64_t{p.bucketsSplitAcrossGpus},
+              std::uint64_t{p.precompute}, p.tableBytes,
+              static_cast<std::uint64_t>(p.collective),
+              p.mergeBytesPerGpu,
+              static_cast<std::uint64_t>(p.fieldBackend),
+              std::uint64_t{p.fieldBackendAuto},
+              static_cast<std::uint64_t>(p.pipelineDepth),
+              static_cast<std::uint64_t>(p.devicePartitions)})
+            word(v);
+    }
+};
+
+// 4 curves x {1 GPU, 8 GPUs, dgx(2,4)} x N in {2^12, 2^16, 2^20}
+// per (base options, beam width) cell: the plan, both scores, the
+// evaluated/pruned counts and the cost-model evaluation delta.
+TEST(Characterization, SearchOutcomesArePinned)
+{
+    struct Cell
+    {
+        const char *name;
+        MsmOptions base;
+        /** Beam unset, width 1, width 3. */
+        std::uint64_t want[3];
+    };
+    MsmOptions pinned_window;
+    pinned_window.windowBitsOverride = 12;
+    MsmOptions pinned_collective;
+    pinned_collective.collective = CollectivePolicy::Ring;
+    MsmOptions pipeline;
+    pipeline.pipelineDepth = 0;
+    pipeline.devicePartitions = 0;
+    MsmOptions no_tc;
+    no_tc.kernel.tensorCoreMont = false;
+    const Cell cells[] = {
+        {"default",
+         MsmOptions{},
+         {0x87f9cfb902193d7ull, 0xf2e6d80494e584eull,
+          0xaf7eaaf72197ee3ull}},
+        {"pinned-window",
+         pinned_window,
+         {0xe7a3f59cf763352bull, 0xb88ffdce4d9dc0efull,
+          0x1ef8e1a110576813ull}},
+        {"pinned-collective",
+         pinned_collective,
+         {0xa213ad96645378d7ull, 0x7a43f6104c00faacull,
+          0x4b16a4e6b9d71357ull}},
+        {"searched-pipeline",
+         pipeline,
+         {0x3e0520fbc274d32cull, 0xf3c61fa1b897f733ull,
+          0xfcbab668abba48e3ull}},
+        {"no-tensor-cores",
+         no_tc,
+         {0x9463ae3fe57d3faeull, 0xc814e5aa1501c01ull,
+          0xa1e8b29ab720f01ull}},
+    };
+    const Cluster clusters[] = {
+        Cluster(DeviceSpec::a100(), 1), Cluster(DeviceSpec::a100(), 8),
+        Cluster(DeviceSpec::a100(), Topology::dgx(2, 4))};
+    const char *const beams[] = {nullptr, "1", "3"};
+
+    for (const Cell &cell : cells) {
+        for (int b = 0; b < 3; ++b) {
+            if (beams[b] == nullptr)
+                unsetenv("DISTMSM_AUTOPLAN_BEAM");
+            else
+                ASSERT_EQ(setenv("DISTMSM_AUTOPLAN_BEAM", beams[b], 1),
+                          0);
+            Hasher h;
+            for (unsigned c = 0; c < 4; ++c)
+                for (const Cluster &cluster : clusters)
+                    for (const unsigned log_n : {12u, 16u, 20u}) {
+                        const std::uint64_t evals0 =
+                            CostModel::evaluations();
+                        const AutoPlanResult r = autoplanMsm(
+                            curveByIndex(c), std::uint64_t{1} << log_n,
+                            cluster, cell.base);
+                        h.plan(r.plan);
+                        h.real(r.searchedNs);
+                        h.real(r.heuristicNs);
+                        h.word(r.evaluated);
+                        h.word(r.pruned);
+                        h.word(CostModel::evaluations() - evals0);
+                    }
+            EXPECT_EQ(h.h, cell.want[b])
+                << cell.name << " beam=" << (beams[b] ? beams[b] : "unset")
+                << ": 0x" << std::hex << h.h;
+        }
+    }
+    unsetenv("DISTMSM_AUTOPLAN_BEAM");
+}
+
+// Search-mode and Cached-mode engines (cold miss, warm in-process
+// hit, hit reloaded from disk) under faults: value, KernelStats,
+// hostOps and the whole FaultReport, at hostThreads 1 and 4.
+TEST(Characterization, SearchedAndCachedEnginesArePinned)
+{
+    using Curve = Bn254;
+    unsetenv("DISTMSM_AUTOPLAN_BEAM");
+    const std::string path =
+        ::testing::TempDir() + "distmsm_plan_cache_characterize.tsv";
+    Prng prng(0xC4A7);
+    const std::size_t n = 1u << 10;
+    const auto points = generatePoints<Curve>(n, prng);
+    const auto scalars = generateScalars<Curve>(n, prng);
+    const auto fault_or =
+        gpusim::FaultPlan::parse("kill:dev=1;corrupt:xfer=2;seed:5");
+    ASSERT_TRUE(fault_or.isOk());
+
+    struct Case
+    {
+        const char *name;
+        Topology topology;
+        MsmOptions base;
+        std::uint64_t want;
+        /** DeviceSpec::globalMemBytes; 0 keeps the A100's. */
+        std::uint64_t globalMemBytes = 0;
+    };
+    MsmOptions plain;
+    plain.scatter.blockDim = 64;
+    plain.scatter.gridDim = 4;
+    plain.scatter.sharedBytesPerBlock = 128 * 1024;
+    plain.faults = *fault_or;
+    MsmOptions knobs = plain;
+    knobs.collective = CollectivePolicy::Auto;
+    knobs.signedDigits = true;
+    knobs.batchAffine = true;
+    knobs.pipelineDepth = 0;
+    knobs.devicePartitions = 0;
+    MsmOptions window8 = plain;
+    window8.windowBitsOverride = 8;
+    window8.collective = CollectivePolicy::Auto;
+    // The searched plans: flat4 and dgx2x2-knobs run precompute with
+    // signed digits (flat4 adds GLV; dgx2x2-knobs a depth-4,
+    // 2-partition pipeline), window8 precompute under a tree merge,
+    // and window8-lowmem, where no table fits, the per-window path
+    // with signed digits, GLV and a tree merge.
+    const Case cases[] = {
+        {"flat4", Topology::flat(4), plain, 0x33136eab3f0fdf07ull},
+        {"dgx2x2-knobs", Topology::dgx(2, 2), knobs,
+         0x716b0048f831ae92ull},
+        {"window8", Topology::dgx(2, 4), window8, 0x63776fd66a031413ull},
+        {"window8-lowmem", Topology::dgx(2, 4), window8,
+         0x4518898a412e984bull, 1u << 18},
+    };
+    for (const Case &c : cases) {
+        DeviceSpec device = DeviceSpec::a100();
+        if (c.globalMemBytes != 0)
+            device.globalMemBytes = c.globalMemBytes;
+        const Cluster cluster(device, c.topology);
+        for (const PlannerMode mode :
+             {PlannerMode::Search, PlannerMode::Cached}) {
+            std::remove(path.c_str());
+            ASSERT_EQ(setenv("DISTMSM_PLAN_CACHE", path.c_str(), 1), 0);
+            resetPlanCacheForTesting();
+            // Cached: cold miss, warm hit, then a hit reloaded from
+            // the persisted file.
+            for (int run = 0; run < 3; ++run) {
+                if (run == 2)
+                    resetPlanCacheForTesting();
+                for (const int threads : {1, 4}) {
+                    MsmOptions options = c.base;
+                    options.planner = mode;
+                    options.hostThreads = threads;
+                    const MsmEngine<Curve> engine(points, cluster,
+                                                  options);
+                    const auto result_or = engine.tryCompute(scalars);
+                    ASSERT_TRUE(result_or.isOk())
+                        << c.name << ": "
+                        << result_or.status().toString();
+                    Hasher h;
+                    h.plan(result_or->plan);
+                    h.raw(&result_or->value, sizeof result_or->value);
+                    h.raw(&result_or->stats, sizeof result_or->stats);
+                    h.word(result_or->hostOps);
+                    h.raw(&result_or->fault, sizeof result_or->fault);
+                    EXPECT_EQ(h.h, c.want)
+                        << c.name << " " << plannerModeName(mode)
+                        << " run=" << run << " threads=" << threads
+                        << ": 0x" << std::hex << h.h;
+                }
+                if (mode == PlannerMode::Search)
+                    break;
+            }
+        }
+    }
+    std::remove(path.c_str());
+    unsetenv("DISTMSM_PLAN_CACHE");
+    resetPlanCacheForTesting();
 }
 
 } // namespace

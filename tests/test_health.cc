@@ -591,8 +591,6 @@ TEST(Quarantine, FlakyDeviceQuarantinesThenReplansWithoutIt)
 
     // Second run: stale generation -> re-plan over the survivors;
     // device 2 is never scheduled, so the flaky link goes silent.
-    support::TraceRecorder trace;
-    // (tracker state persists; the trace captures the health gauges)
     const auto second_or = engine.tryCompute(w.scalars);
     ASSERT_TRUE(second_or.isOk()) << second_or.status().toString();
     EXPECT_TRUE(bitEqual(second_or->value, clean_or->value));

@@ -349,5 +349,56 @@ TEST(Baselines, DistMsmScalesNearLinearlyAtLargeN)
     EXPECT_LE(speedup, 33.0);
 }
 
+// ---------------------------------------------------------------
+// Hierarchical scatter needs 2^s counters in shared memory, so above
+// s = 14 (default geometry, A100) the plan falls back to the naive
+// scatter (Section 3.2, Figure 11). The engine runs what the plan
+// records, and the modeled scatter time prices the same kernel.
+// ---------------------------------------------------------------
+
+TEST(ScatterFallback, PinnedWideWindowRunsNaiveScatter)
+{
+    const auto w = makeWorkload<Bn254>(1 << 10, 0x5CA7);
+    const Cluster cluster(DeviceSpec::a100(), 1);
+    MsmOptions options;
+    options.windowBitsOverride = 15;
+    const MsmEngine<Bn254> engine(w.points, cluster, options);
+    EXPECT_FALSE(engine.plan().hierarchicalScatter);
+    const auto result = engine.tryCompute(w.scalars);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    EXPECT_TRUE(result->value ==
+                msmSerialPippenger<Bn254>(w.points, w.scalars, 8));
+    // The estimator already priced the naive kernel here.
+    EXPECT_EQ(estimateDistMsm(CurveProfile::bn254(), 1 << 10, cluster,
+                              options)
+                  .scatterNs,
+              373.38016761899348);
+}
+
+TEST(ScatterFallback, PrecomputeGrownWindowRunsNaiveScatter)
+{
+    // Half of 2.3 MB holds BN254's 2^10-base table only at s >= 15
+    // (17 rows of 64-byte affine points per base; s = 14 needs 19).
+    DeviceSpec small = DeviceSpec::a100();
+    small.globalMemBytes = 2300000;
+    const Cluster cluster(small, 1);
+    const auto w = makeWorkload<Bn254>(1 << 10, 0x5CA8);
+    MsmOptions options;
+    options.precompute = true;
+    const MsmEngine<Bn254> engine(w.points, cluster, options);
+    ASSERT_TRUE(engine.plan().precompute);
+    EXPECT_EQ(engine.plan().windowBits, 15u);
+    EXPECT_FALSE(engine.plan().hierarchicalScatter);
+    const auto result = engine.tryCompute(w.scalars);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    EXPECT_TRUE(result->value ==
+                msmSerialPippenger<Bn254>(w.points, w.scalars, 8));
+    // The estimator already priced the naive kernel here.
+    EXPECT_EQ(estimateDistMsm(CurveProfile::bn254(), 1 << 10, cluster,
+                              options)
+                  .scatterNs,
+              373.38016761899348);
+}
+
 } // namespace
 } // namespace distmsm::msm
